@@ -12,7 +12,7 @@ use ones_bench::{print_header, Args};
 use ones_cluster::ClusterSpec;
 use ones_dlperf::PerfModel;
 use ones_simcore::DetRng;
-use ones_simulator::{SchedulerKind, SimConfig, Simulation, Timeline};
+use ones_simulator::{SchedulerKind, SimConfig, Simulation, StepOutcome, Timeline};
 use ones_workload::{Trace, TraceConfig};
 
 fn main() {
@@ -36,18 +36,19 @@ fn main() {
     let mut rows = Vec::new();
     for kind in schedulers {
         let scheduler = kind.build(&spec, &trace, &DetRng::seed(1));
-        let result = Simulation::new(
+        let mut sim = Simulation::new(
             PerfModel::new(spec),
             &trace,
             scheduler,
-            SimConfig {
-                record_trace: true,
-                ..SimConfig::default()
-            },
-        )
-        .run();
+            SimConfig::default(),
+        );
+        let mut events = Vec::new();
+        while sim.step() == StepOutcome::Progressed {
+            events.extend_from_slice(sim.step_events());
+        }
+        let (result, _) = sim.into_result();
         assert!(result.all_completed, "{} stalled", kind.name());
-        let tl = Timeline::from_result(&result);
+        let tl = Timeline::from_events(result.total_gpus, &events);
         rows.push((kind, result, tl));
     }
 

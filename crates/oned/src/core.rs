@@ -95,13 +95,14 @@ pub fn run_core(
     let mut paused = opts.paused;
     let mut draining = opts.draining;
     let mut phase = BackendPhase::Active;
-    let mut next_id = backend
-        .job_statuses()
-        .keys()
-        .last()
-        .map_or(0, |id| id.0 + 1);
     // Jobs preloaded from a trace count as submitted.
-    let preloaded = backend.job_statuses().len() as u64;
+    let (mut next_id, preloaded) = {
+        let jobs = backend.job_statuses();
+        (
+            jobs.keys().last().map_or(0, |id| id.0 + 1),
+            jobs.len() as u64,
+        )
+    };
     {
         let mut st = write_state(&state);
         st.submitted = preloaded;

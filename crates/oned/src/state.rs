@@ -170,7 +170,6 @@ pub fn shared(scheduler: String, occupancy: Occupancy, paused: bool) -> SharedSt
 /// Read lock that recovers from poisoning: a panicked holder must not
 /// take the whole daemon down — the state is republished wholesale after
 /// every step batch, so the worst a poisoned snapshot can be is stale.
-#[must_use]
 pub fn read_state(state: &SharedState) -> ones_sync::RwLockReadGuard<'_, ServiceState> {
     state
         .read()
@@ -180,7 +179,6 @@ pub fn read_state(state: &SharedState) -> ones_sync::RwLockReadGuard<'_, Service
 /// Write lock with the same poison recovery as [`read_state`]: the core
 /// thread is the only writer, and its next publish overwrites whatever a
 /// poisoned writer left half-done.
-#[must_use]
 pub fn write_state(state: &SharedState) -> ones_sync::RwLockWriteGuard<'_, ServiceState> {
     state
         .write()

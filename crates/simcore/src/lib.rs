@@ -16,9 +16,7 @@
 pub mod event;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::DetRng;
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceLog};

@@ -9,81 +9,16 @@
 //! pluggable implementation ([`SimBackend`]) of the same API a physical
 //! cluster would sit behind.
 //!
-//! [`SimBackend::step`] converts raw engine progress into typed
-//! [`BackendEvent`]s by diffing consecutive job-status snapshots — the
-//! event stream served at `GET /v1/events` — so batch-size history is
-//! observable without parsing trace-log strings.
+//! [`SimBackend::step`] forwards the engine's typed lifecycle events
+//! ([`crate::lifecycle`]) — the event stream served at `GET /v1/events`.
 
 use crate::engine::{SimConfig, Simulation, StepOutcome};
+pub use crate::lifecycle::{BackendEvent, BackendEventKind};
 use ones_cluster::{ClusterSpec, NodeId};
 use ones_dlperf::PerfModel;
-use ones_schedcore::{JobPhase, JobStatus, SchedTuning, Scheduler};
+use ones_schedcore::{JobStatus, SchedTuning, Scheduler};
 use ones_workload::{JobId, JobSpec, Trace};
 use std::collections::BTreeMap;
-
-/// What a job did, as observed between two backend steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendEventKind {
-    /// The job's arrival event was dispatched; it is now schedulable.
-    Arrived,
-    /// The job started (or resumed) running under this configuration.
-    Started {
-        /// Global batch size.
-        batch: u32,
-        /// GPUs granted.
-        gpus: u32,
-    },
-    /// A running job was re-configured to a new batch/GPU assignment —
-    /// the batch-size orchestration in action.
-    Resized {
-        /// New global batch size.
-        batch: u32,
-        /// New GPU count.
-        gpus: u32,
-    },
-    /// The job lost its GPUs and went back to waiting.
-    Preempted,
-    /// The job finished a training epoch.
-    EpochEnded {
-        /// Total epochs completed so far.
-        epochs_done: u32,
-    },
-    /// The job ran to convergence.
-    Completed,
-    /// The job ended abnormally (owner kill / crash).
-    Killed,
-    /// The submission was refused with a recorded reason (e.g. it raced a
-    /// drain): the service never silently drops an accepted request.
-    Rejected,
-}
-
-impl BackendEventKind {
-    /// Stable wire name of this event kind.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            BackendEventKind::Arrived => "arrived",
-            BackendEventKind::Started { .. } => "started",
-            BackendEventKind::Resized { .. } => "resized",
-            BackendEventKind::Preempted => "preempted",
-            BackendEventKind::EpochEnded { .. } => "epoch_ended",
-            BackendEventKind::Completed => "completed",
-            BackendEventKind::Killed => "killed",
-            BackendEventKind::Rejected => "rejected",
-        }
-    }
-}
-
-/// One observed scheduling event, in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendEvent {
-    /// Virtual time of the observation, seconds.
-    pub vt_secs: f64,
-    /// The job concerned.
-    pub job: JobId,
-    /// What happened.
-    pub kind: BackendEventKind,
-}
 
 /// Whether the backend can make further progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,33 +98,10 @@ pub trait ClusterBackend: Send {
     }
 }
 
-/// Compact per-job shadow state used to diff consecutive snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shadow {
-    phase: JobPhase,
-    batch: u32,
-    gpus: u32,
-    epochs: u32,
-    killed: bool,
-}
-
-impl Shadow {
-    fn of(status: &JobStatus) -> Self {
-        Shadow {
-            phase: status.phase,
-            batch: status.current_batch,
-            gpus: status.current_gpus,
-            epochs: status.epochs_done,
-            killed: status.killed,
-        }
-    }
-}
-
 /// The simulator as a [`ClusterBackend`].
 pub struct SimBackend {
     sim: Simulation,
     spec: ClusterSpec,
-    shadow: BTreeMap<JobId, Shadow>,
 }
 
 impl SimBackend {
@@ -205,7 +117,6 @@ impl SimBackend {
         SimBackend {
             sim: Simulation::new(PerfModel::new(spec), trace, scheduler, config),
             spec,
-            shadow: BTreeMap::new(),
         }
     }
 
@@ -213,71 +124,6 @@ impl SimBackend {
     #[must_use]
     pub fn into_result(self) -> crate::engine::SimResult {
         self.sim.into_result().0
-    }
-
-    /// Diffs the current job statuses against the shadow map, appending
-    /// one event per observable change and updating the shadow.
-    fn diff_into(&mut self, out: &mut Vec<BackendEvent>) {
-        let vt = self.sim.now().as_secs();
-        let statuses = self.sim.arrived_job_statuses();
-        for (id, status) in &statuses {
-            let next = Shadow::of(status);
-            let prev = self.shadow.get(id).copied();
-            let mut push = |kind| {
-                out.push(BackendEvent {
-                    vt_secs: vt,
-                    job: *id,
-                    kind,
-                });
-            };
-            if prev.is_none() {
-                push(BackendEventKind::Arrived);
-            }
-            let prev = prev.unwrap_or(Shadow {
-                phase: JobPhase::Waiting,
-                batch: 0,
-                gpus: 0,
-                epochs: 0,
-                killed: false,
-            });
-            if next == prev {
-                continue;
-            }
-            if next.epochs > prev.epochs {
-                push(BackendEventKind::EpochEnded {
-                    epochs_done: next.epochs,
-                });
-            }
-            match (prev.phase, next.phase) {
-                (JobPhase::Waiting, JobPhase::Running) => push(BackendEventKind::Started {
-                    batch: next.batch,
-                    gpus: next.gpus,
-                }),
-                (JobPhase::Running, JobPhase::Waiting) => push(BackendEventKind::Preempted),
-                (JobPhase::Running | JobPhase::Waiting, JobPhase::Completed) => {
-                    if next.killed {
-                        push(BackendEventKind::Killed);
-                    } else {
-                        push(BackendEventKind::Completed);
-                    }
-                }
-                (JobPhase::Running, JobPhase::Running)
-                    if next.batch != prev.batch || next.gpus != prev.gpus =>
-                {
-                    push(BackendEventKind::Resized {
-                        batch: next.batch,
-                        gpus: next.gpus,
-                    });
-                }
-                _ => {}
-            }
-            self.shadow.insert(*id, next);
-        }
-        // Keep shadow entries for completed jobs (ids never recycle), but
-        // make sure newly arrived unchanged jobs are recorded too.
-        for (id, status) in &statuses {
-            self.shadow.entry(*id).or_insert_with(|| Shadow::of(status));
-        }
     }
 }
 
@@ -298,17 +144,14 @@ impl ClusterBackend for SimBackend {
         let mut events = Vec::new();
         let mut phase = BackendPhase::Active;
         for _ in 0..max_events {
-            match self.sim.step() {
-                StepOutcome::Progressed => self.diff_into(&mut events),
-                StepOutcome::Idle => {
-                    phase = BackendPhase::Idle;
-                    break;
-                }
-                StepOutcome::Capped => {
-                    phase = BackendPhase::Capped;
-                    break;
-                }
-            }
+            let outcome = self.sim.step();
+            events.extend_from_slice(self.sim.step_events());
+            phase = match outcome {
+                StepOutcome::Progressed => continue,
+                StepOutcome::Idle => BackendPhase::Idle,
+                StepOutcome::Capped => BackendPhase::Capped,
+            };
+            break;
         }
         (events, phase)
     }
@@ -334,14 +177,7 @@ impl ClusterBackend for SimBackend {
                 nodes[node as usize].busy_gpus += 1;
             }
         }
-        let (mut running, mut waiting) = (0u32, 0u32);
-        for status in self.sim.arrived_job_statuses().values() {
-            match status.phase {
-                JobPhase::Running => running += 1,
-                JobPhase::Waiting => waiting += 1,
-                JobPhase::Completed => {}
-            }
-        }
+        let (running, waiting) = self.sim.running_and_waiting();
         Occupancy {
             total_gpus: self.spec.total_gpus(),
             busy_gpus: busy,

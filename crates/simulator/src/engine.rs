@@ -7,6 +7,7 @@
 //! attained service) and charges the scheduler's re-configuration cost
 //! before the next epoch starts.
 
+use crate::lifecycle::{BackendEvent, BackendEventKind, Outbox, Track};
 use ones_cluster::Placement;
 use ones_dlperf::{ConvergenceState, PerfModel};
 use ones_sched::ScalingCostModel;
@@ -14,14 +15,15 @@ use ones_schedcore::{
     ClusterView, JobPhase, JobStatus, OpKind, PhasePlan, Reconciler, ScalingMechanism, ScalingOp,
     SchedEvent, Schedule, Scheduler, SchedulerPerfCounters,
 };
-use ones_simcore::{EventQueue, SimTime, TraceLog};
+use ones_simcore::{EventQueue, SimTime};
 use ones_sync::LazyLock;
 use ones_workload::{JobId, Trace};
 use std::collections::BTreeMap;
 
 // Engine observability (DESIGN.md §5). Wall-time spans cover the host
-// cost of processing each event; virtual-time spans and instants replay
-// the simulated timeline (pid 1 in the trace export, one track per job).
+// cost of processing each event; the virtual-time track (pid 1 in the
+// trace export, one row per job) is drawn by `Outbox::emit`, plus the
+// `deploy` instants and reconcile phase spans below.
 static EVENTS: LazyLock<&'static ones_obs::Counter> =
     LazyLock::new(|| ones_obs::counter("simulator.engine.events"));
 static DEPLOYMENTS: LazyLock<&'static ones_obs::Counter> =
@@ -52,8 +54,6 @@ pub struct SimConfig {
     pub max_time: f64,
     /// Hard stop on processed events (runaway guard).
     pub max_events: u64,
-    /// Record a [`TraceLog`] of every transition.
-    pub record_trace: bool,
 }
 
 impl Default for SimConfig {
@@ -61,7 +61,6 @@ impl Default for SimConfig {
         SimConfig {
             max_time: 1.0e6,
             max_events: 20_000_000,
-            record_trace: false,
         }
     }
 }
@@ -134,8 +133,6 @@ pub struct SimResult {
     /// Jobs still pending or unfinished when the run stopped (stall, time
     /// or event cap — replayed traces with stragglers hit these).
     pub incomplete_jobs: usize,
-    /// Optional transition log.
-    pub trace_log: TraceLog,
     /// Number of schedule deployments executed.
     pub deployments: u64,
     /// Number of per-job re-configurations (start/resume/resize) executed.
@@ -211,7 +208,8 @@ pub struct Simulation {
     /// single source of truth for what is deployed.
     recon: Reconciler,
     statuses: BTreeMap<JobId, JobStatus>,
-    trace_log: TraceLog,
+    /// Lifecycle events emitted by the current step.
+    outbox: Outbox,
     next_tick: Option<SimTime>,
     deployments: u64,
     transitions: u64,
@@ -247,7 +245,7 @@ impl Simulation {
             queue,
             recon: Reconciler::new(total_gpus),
             statuses: BTreeMap::new(),
-            trace_log: TraceLog::new(),
+            outbox: Outbox::default(),
             next_tick: None,
             deployments: 0,
             transitions: 0,
@@ -280,7 +278,11 @@ impl Simulation {
     /// while virtual time advances. When the queue drains with unfinished
     /// jobs the scheduler is probed once with a tick before `Idle` is
     /// declared, mirroring the batch run's stall handling.
+    ///
+    /// The step's lifecycle events are read back with
+    /// [`Simulation::step_events`].
     pub fn step(&mut self) -> StepOutcome {
+        self.outbox.0.clear();
         if self.all_completed() {
             return StepOutcome::Idle;
         }
@@ -340,6 +342,16 @@ impl Simulation {
         self.events_processed
     }
 
+    /// The lifecycle events the last [`Simulation::step`] emitted, in
+    /// engine causal order: the dispatched event's own transition
+    /// (arrival, epoch end, completion, kill), then the preemptions and
+    /// (re)starts of the deployment it triggered. Callers that want a
+    /// whole-run log extend their own buffer after each step.
+    #[must_use]
+    pub fn step_events(&self) -> &[BackendEvent] {
+        &self.outbox.0
+    }
+
     /// The currently deployed (actual) schedule.
     #[must_use]
     pub fn deployed(&self) -> &Schedule {
@@ -359,15 +371,18 @@ impl Simulation {
         self.perf.spec()
     }
 
-    /// Statuses of jobs whose arrival event has been dispatched (what the
-    /// scheduler can see). Jobs submitted but not yet arrived in virtual
-    /// time are excluded; [`Simulation::job_statuses`] includes them.
+    /// Arrived jobs currently `(running, waiting)`.
     #[must_use]
-    pub fn arrived_job_statuses(&self) -> BTreeMap<JobId, JobStatus> {
-        self.jobs
-            .iter()
-            .map(|(id, job)| (*id, job.status.clone()))
-            .collect()
+    pub(crate) fn running_and_waiting(&self) -> (u32, u32) {
+        let (mut running, mut waiting) = (0, 0);
+        for job in self.jobs.values() {
+            match job.status.phase {
+                JobPhase::Running => running += 1,
+                JobPhase::Waiting => waiting += 1,
+                JobPhase::Completed => {}
+            }
+        }
+        (running, waiting)
     }
 
     /// Number of submitted jobs whose arrival is still in the future.
@@ -381,7 +396,11 @@ impl Simulation {
     /// reported as freshly submitted at their (future) arrival time.
     #[must_use]
     pub fn job_statuses(&self) -> BTreeMap<JobId, JobStatus> {
-        let mut out = self.arrived_job_statuses();
+        let mut out: BTreeMap<JobId, JobStatus> = self
+            .jobs
+            .iter()
+            .map(|(id, job)| (*id, job.status.clone()))
+            .collect();
         for (id, spec) in &self.pending {
             out.insert(
                 *id,
@@ -435,7 +454,6 @@ impl Simulation {
             completed_jobs,
             killed_jobs,
             incomplete_jobs,
-            trace_log: self.trace_log,
             deployments: self.deployments,
             transitions: self.transitions,
             total_overhead: self.total_overhead,
@@ -450,12 +468,6 @@ impl Simulation {
 
     fn all_completed(&self) -> bool {
         self.pending.is_empty() && self.jobs.values().all(|j| j.status.is_completed())
-    }
-
-    fn record(&mut self, at: SimTime, kind: &str, subject: u64, detail: &str) {
-        if self.config.record_trace {
-            self.trace_log.record(at, kind, subject, detail);
-        }
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
@@ -490,7 +502,8 @@ impl Simulation {
                 if let Some(delay) = spec.kill_after_secs {
                     self.queue.push(now + delay, Event::Kill(id));
                 }
-                self.record(now, "job", id.0, "arrive");
+                self.outbox
+                    .emit(now, id, BackendEventKind::Arrived, Track::Plain);
                 Some(SchedEvent::JobArrived(id))
             }
             Event::EpochEnd { job, seq } => self.handle_epoch_end(now, job, seq),
@@ -509,18 +522,13 @@ impl Simulation {
     fn invoke_scheduler(&mut self, now: SimTime, event: SchedEvent) {
         // Sync status snapshots.
         self.statuses.clear();
-        let (mut running, mut waiting) = (0u64, 0u64);
         for (id, job) in &self.jobs {
-            match job.status.phase {
-                JobPhase::Running => running += 1,
-                JobPhase::Waiting => waiting += 1,
-                JobPhase::Completed => {}
-            }
             self.statuses.insert(*id, job.status.clone());
         }
+        let (running, waiting) = self.running_and_waiting();
         QUEUE_DEPTH.set(self.queue.len() as f64);
-        RUNNING_JOBS.set(running as f64);
-        WAITING_JOBS.set(waiting as f64);
+        RUNNING_JOBS.set(f64::from(running));
+        WAITING_JOBS.set(f64::from(waiting));
         let desired = {
             let view = ClusterView {
                 now,
@@ -572,7 +580,8 @@ impl Simulation {
         job.status.current_batch = 0;
         job.status.current_gpus = 0;
         self.recon.observe_removed(id);
-        self.record(now, "job", id.0, "killed");
+        self.outbox
+            .emit(now, id, BackendEventKind::Killed, Track::Plain);
         Some(SchedEvent::JobCompleted(id))
     }
 
@@ -586,19 +595,6 @@ impl Simulation {
         }
         let segment = job.segment.as_mut().expect("running job has a segment");
         EPOCHS.inc();
-        if ones_obs::spans_enabled() {
-            ones_obs::virtual_span(
-                "epoch",
-                "simulator",
-                id.0,
-                segment.epoch_started.as_secs(),
-                now.as_secs(),
-                vec![
-                    ("batch", u64::from(segment.global_batch).into()),
-                    ("gpus", segment.placement.len().into()),
-                ],
-            );
-        }
         let lr_scaled = scales || segment.global_batch == job.status.spec.submit_batch;
         job.conv.advance_epoch(segment.global_batch, lr_scaled);
 
@@ -613,6 +609,18 @@ impl Simulation {
         job.status.current_accuracy = job.conv.accuracy();
         job.status.throughput = job.status.spec.dataset_size as f64 / segment.epoch_duration;
         job.status.epochs_in_current_schedule += 1;
+        self.outbox.emit(
+            now,
+            id,
+            BackendEventKind::EpochEnded {
+                epochs_done: job.status.epochs_done,
+            },
+            Track::Epoch {
+                from: segment.epoch_started,
+                batch: segment.global_batch,
+                gpus: segment.placement.len() as u32,
+            },
+        );
 
         if job.conv.converged() {
             job.status.phase = JobPhase::Completed;
@@ -622,7 +630,8 @@ impl Simulation {
             job.segment = None;
             job.epoch_seq += 1;
             self.recon.observe_removed(id);
-            self.record(now, "job", id.0, "complete");
+            self.outbox
+                .emit(now, id, BackendEventKind::Completed, Track::Plain);
             Some(SchedEvent::JobCompleted(id))
         } else {
             // Next epoch under the same configuration.
@@ -667,15 +676,6 @@ impl Simulation {
                 now.as_secs(),
                 vec![("jobs", schedule.running_jobs().len().into())],
             );
-        }
-        if self.config.record_trace {
-            let detail: Vec<String> = schedule
-                .running_jobs()
-                .iter()
-                .map(|(j, (b, c))| format!("{j}:B{b}xC{c}"))
-                .collect();
-            let d = format!("deploy {}", detail.join(" "));
-            self.record(now, "sched", 0, &d);
         }
 
         let ops = self.recon.plan(&schedule);
@@ -727,10 +727,8 @@ impl Simulation {
             job.status.current_batch = 0;
             job.status.current_gpus = 0;
             if was_running {
-                self.record(now, "job", id.0, "preempt");
-                if ones_obs::spans_enabled() {
-                    ones_obs::virtual_instant("preempt", "simulator", id.0, now.as_secs(), vec![]);
-                }
+                self.outbox
+                    .emit(now, id, BackendEventKind::Preempted, Track::Plain);
             }
             return;
         }
@@ -813,20 +811,13 @@ impl Simulation {
         if at.as_secs() <= self.config.max_time {
             self.queue.push(at, Event::EpochEnd { job: id, seq });
         }
-        self.record(now, "job", id.0, "start");
-        if ones_obs::spans_enabled() {
-            ones_obs::virtual_instant(
-                "start",
-                "simulator",
-                id.0,
-                now.as_secs(),
-                vec![
-                    ("batch", u64::from(global_batch).into()),
-                    ("gpus", placement.len().into()),
-                    ("overhead_s", overhead.into()),
-                ],
-            );
-        }
+        let (batch, gpus) = (global_batch, placement.len() as u32);
+        let kind = if was_running {
+            BackendEventKind::Resized { batch, gpus }
+        } else {
+            BackendEventKind::Started { batch, gpus }
+        };
+        self.outbox.emit(now, id, kind, Track::Overhead(overhead));
     }
 }
 
@@ -848,19 +839,25 @@ mod tests {
     }
 
     fn run(kind: SchedulerKind, n: usize, gpus: u32) -> SimResult {
+        run_logged(kind, n, gpus).0
+    }
+
+    /// Runs step by step, keeping every step's lifecycle events.
+    fn run_logged(kind: SchedulerKind, n: usize, gpus: u32) -> (SimResult, Vec<BackendEvent>) {
         let trace = small_trace(n, 7);
         let spec = ClusterSpec::longhorn_subset(gpus);
         let scheduler = kind.build(&spec, &trace, &DetRng::seed(11));
-        let sim = Simulation::new(
+        let mut sim = Simulation::new(
             PerfModel::new(spec),
             &trace,
             scheduler,
-            SimConfig {
-                record_trace: true,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
-        sim.run()
+        let mut events = Vec::new();
+        while sim.step() == StepOutcome::Progressed {
+            events.extend_from_slice(sim.step_events());
+        }
+        (sim.into_result().0, events)
     }
 
     #[test]
@@ -904,16 +901,25 @@ mod tests {
     }
 
     #[test]
-    fn causality_holds_in_the_trace_log() {
-        let r = run(SchedulerKind::Fifo, 6, 16);
+    fn causality_holds_in_the_lifecycle_stream() {
+        let (r, events) = run_logged(SchedulerKind::Fifo, 6, 16);
         for job in r.jobs.values() {
             let id = job.spec.id;
-            let arrive = r.trace_log.first("job", id.0).unwrap().at;
-            let start = job.first_start.unwrap();
-            let done = job.completion.unwrap();
+            let at = |pred: fn(&BackendEventKind) -> bool| {
+                events
+                    .iter()
+                    .find(|e| e.job == id && pred(&e.kind))
+                    .map(|e| e.vt_secs)
+                    .unwrap()
+            };
+            let arrive = at(|k| *k == BackendEventKind::Arrived);
+            let start = at(|k| matches!(k, BackendEventKind::Started { .. }));
+            let done = at(|k| *k == BackendEventKind::Completed);
             assert!(arrive <= start, "{id}: started before arrival");
             assert!(start <= done, "{id}: completed before start");
-            assert_eq!(arrive, job.arrival);
+            assert_eq!(arrive, job.arrival.as_secs());
+            assert_eq!(start, job.first_start.unwrap().as_secs());
+            assert_eq!(done, job.completion.unwrap().as_secs());
         }
     }
 

@@ -9,6 +9,9 @@
 //!   mechanism-dependent costs (elastic NCCL ≈ 1 s vs checkpoint restart ≈
 //!   tens of seconds); partial epochs pro-rated on preemption; convergence
 //!   tracked by the ground-truth model of `ones-dlperf`.
+//! * [`lifecycle`] — the typed job-lifecycle events the engine emits once
+//!   per transition; the daemon's event stream, [`Timeline`] and the
+//!   virtual-clock trace track all consume them.
 //! * [`metrics`] — per-job JCT / execution-time / queueing-time extraction
 //!   and the aggregate statistics Figure 15 plots.
 //! * [`experiment`] — named scheduler construction, single-run and
@@ -17,6 +20,7 @@
 pub mod backend;
 pub mod engine;
 pub mod experiment;
+pub mod lifecycle;
 pub mod metrics;
 pub mod timeline;
 

@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// An empirical CDF as `(x, F(x))` points.
 pub type Cdf = Vec<(f64, f64)>;
 
-/// Why a [`SimResult`] could not be turned into a derived view
-/// ([`JobMetrics::try_from_result`], [`crate::Timeline::try_from_result`]).
+/// Why a [`SimResult`] could not be turned into [`JobMetrics`]
+/// ([`JobMetrics::try_from_result`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FromResultError {
     /// The run was truncated (stall or time/event cap): metrics over the
@@ -18,9 +18,6 @@ pub enum FromResultError {
         /// Jobs that had not completed when the run stopped.
         unfinished: usize,
     },
-    /// The run recorded no trace events (`SimConfig::record_trace` was
-    /// off), so there is nothing to replay.
-    NoTraceLog,
 }
 
 impl std::fmt::Display for FromResultError {
@@ -28,9 +25,6 @@ impl std::fmt::Display for FromResultError {
         match self {
             FromResultError::Incomplete { unfinished } => {
                 write!(f, "run incomplete: {unfinished} job(s) unfinished")
-            }
-            FromResultError::NoTraceLog => {
-                write!(f, "run recorded no trace events (record_trace = false)")
             }
         }
     }
@@ -214,10 +208,8 @@ mod tests {
         .run();
         assert!(!r.all_completed);
         let err = JobMetrics::try_from_result(&r).unwrap_err();
-        match err {
-            FromResultError::Incomplete { unfinished } => assert!(unfinished > 0),
-            other => panic!("unexpected error {other:?}"),
-        }
+        let FromResultError::Incomplete { unfinished } = &err;
+        assert!(*unfinished > 0);
         assert!(err.to_string().contains("incomplete"));
     }
 

@@ -1,14 +1,15 @@
-//! Cluster-state time series reconstructed from a run's trace log.
+//! Cluster-state time series folded from a run's lifecycle events.
 //!
 //! The aggregate [`crate::SimResult::gpu_utilization`] hides *when* the
-//! cluster was busy. [`Timeline`] replays the recorded deployments and job
-//! transitions into a step function of busy GPUs, running jobs and waiting
-//! jobs over virtual time — the series behind "ONES can saturate the
-//! cluster" (§2.2) and the fragmentation argument of §2.1.
+//! cluster was busy. [`Timeline`] folds the engine's typed
+//! [`BackendEvent`]s into a step function of busy GPUs, running jobs and
+//! waiting jobs over virtual time — the series behind "ONES can saturate
+//! the cluster" (§2.2) and the fragmentation argument of §2.1.
 
-use crate::engine::SimResult;
-use crate::metrics::FromResultError;
+use crate::lifecycle::{BackendEvent, BackendEventKind};
+use ones_workload::JobId;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// One sample of cluster state.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -28,88 +29,53 @@ pub struct TimelinePoint {
 pub struct Timeline {
     /// Cluster capacity, for normalising utilisation.
     pub total_gpus: u32,
-    /// Samples at every recorded state change, in time order.
+    /// Samples at every state change, in time order.
     pub points: Vec<TimelinePoint>,
 }
 
 impl Timeline {
-    /// Reconstructs the timeline from a run that recorded its trace
-    /// (`SimConfig::record_trace = true`).
-    ///
-    /// # Panics
-    /// Panics if the run recorded no trace events. Use
-    /// [`Timeline::try_from_result`] to handle that case gracefully.
+    /// Folds a run's lifecycle events (every step's
+    /// [`crate::Simulation::step_events`], in order) on a `total_gpus`
+    /// cluster. Truncated runs are fine — the timeline simply stops where
+    /// the events do.
     #[must_use]
-    pub fn from_result(result: &SimResult) -> Self {
-        Self::try_from_result(result).expect("timeline needs record_trace = true")
-    }
-
-    /// Fallible [`Timeline::from_result`]: returns
-    /// [`FromResultError::NoTraceLog`] instead of panicking when the run
-    /// recorded no events. Truncated runs are fine — the timeline simply
-    /// stops where the recording did.
-    pub fn try_from_result(result: &SimResult) -> Result<Self, FromResultError> {
-        if result.trace_log.is_empty() {
-            return Err(FromResultError::NoTraceLog);
-        }
-        let mut points = Vec::new();
-        let mut waiting: i64 = 0;
-        // Per-job GPU holdings, derived from deployment summaries.
-        let mut holdings: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-        let mut arrived: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut done: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-
-        for ev in result.trace_log.events() {
-            match (ev.kind.as_str(), ev.detail.as_str()) {
-                ("job", "arrive") => {
-                    arrived.insert(ev.subject);
-                    waiting += 1;
-                }
-                ("job", "complete") | ("job", "killed") => {
-                    done.insert(ev.subject);
-                    if holdings.remove(&ev.subject).is_none() {
-                        waiting -= 1;
+    pub fn from_events(total_gpus: u32, events: &[BackendEvent]) -> Self {
+        let mut points: Vec<TimelinePoint> = Vec::new();
+        let mut holdings: BTreeMap<JobId, u32> = BTreeMap::new();
+        let mut waiting = 0u32;
+        for ev in events {
+            match ev.kind {
+                BackendEventKind::Arrived => waiting += 1,
+                BackendEventKind::Started { gpus, .. } | BackendEventKind::Resized { gpus, .. } => {
+                    if holdings.insert(ev.job, gpus).is_none() {
+                        waiting = waiting.saturating_sub(1);
                     }
                 }
-                ("sched", detail) if detail.starts_with("deploy") => {
-                    // "deploy job3:B256xC2 job5:B128xC1 ..."
-                    let mut new_holdings = std::collections::BTreeMap::new();
-                    for tok in detail.split_whitespace().skip(1) {
-                        let Some((job_part, c_part)) = tok.split_once(":B") else {
-                            continue;
-                        };
-                        let Some((_, c)) = c_part.rsplit_once("xC") else {
-                            continue;
-                        };
-                        let (Some(id), Ok(c)) = (
-                            job_part.strip_prefix("job").and_then(|s| s.parse().ok()),
-                            c.parse::<u32>(),
-                        ) else {
-                            continue;
-                        };
-                        if !done.contains(&id) {
-                            new_holdings.insert(id, c);
-                        }
+                BackendEventKind::Preempted => {
+                    if holdings.remove(&ev.job).is_some() {
+                        waiting += 1;
                     }
-                    holdings = new_holdings;
-                    waiting = arrived
-                        .iter()
-                        .filter(|id| !done.contains(id) && !holdings.contains_key(id))
-                        .count() as i64;
                 }
-                _ => {}
+                BackendEventKind::Completed | BackendEventKind::Killed => {
+                    if holdings.remove(&ev.job).is_none() {
+                        waiting = waiting.saturating_sub(1);
+                    }
+                }
+                BackendEventKind::EpochEnded { .. } | BackendEventKind::Rejected => continue,
             }
-            points.push(TimelinePoint {
-                at: ev.at.as_secs(),
+            let point = TimelinePoint {
+                at: ev.vt_secs,
                 busy_gpus: holdings.values().sum(),
                 running_jobs: holdings.len() as u32,
-                waiting_jobs: waiting.max(0) as u32,
-            });
+                waiting_jobs: waiting,
+            };
+            // One sample per instant: the state once its transitions land.
+            match points.last_mut() {
+                Some(last) if last.at == point.at => *last = point,
+                _ => points.push(point),
+            }
         }
-        Ok(Timeline {
-            total_gpus: result.total_gpus,
-            points,
-        })
+        Timeline { total_gpus, points }
     }
 
     /// Cluster state at time `t` (the latest sample at or before `t`).
@@ -164,14 +130,14 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{SimConfig, Simulation};
+    use crate::engine::{SimConfig, SimResult, Simulation, StepOutcome};
     use crate::experiment::SchedulerKind;
     use ones_cluster::ClusterSpec;
     use ones_dlperf::PerfModel;
     use ones_simcore::DetRng;
     use ones_workload::{Trace, TraceConfig};
 
-    fn run(kind: SchedulerKind) -> SimResult {
+    fn run(kind: SchedulerKind) -> (SimResult, Timeline) {
         let trace = Trace::generate(TraceConfig {
             num_jobs: 8,
             arrival_rate: 1.0 / 15.0,
@@ -180,22 +146,24 @@ mod tests {
         });
         let spec = ClusterSpec::longhorn_subset(16);
         let scheduler = kind.build(&spec, &trace, &DetRng::seed(1));
-        Simulation::new(
+        let mut sim = Simulation::new(
             PerfModel::new(spec),
             &trace,
             scheduler,
-            SimConfig {
-                record_trace: true,
-                ..SimConfig::default()
-            },
-        )
-        .run()
+            SimConfig::default(),
+        );
+        let mut events = Vec::new();
+        while sim.step() == StepOutcome::Progressed {
+            events.extend_from_slice(sim.step_events());
+        }
+        let (r, _) = sim.into_result();
+        let tl = Timeline::from_events(r.total_gpus, &events);
+        (r, tl)
     }
 
     #[test]
     fn timeline_respects_capacity_and_time_order() {
-        let r = run(SchedulerKind::Ones);
-        let tl = Timeline::from_result(&r);
+        let (_, tl) = run(SchedulerKind::Ones);
         assert!(!tl.points.is_empty());
         for w in tl.points.windows(2) {
             assert!(w[0].at <= w[1].at, "time order violated");
@@ -207,8 +175,7 @@ mod tests {
 
     #[test]
     fn cluster_drains_by_the_end() {
-        let r = run(SchedulerKind::Fifo);
-        let tl = Timeline::from_result(&r);
+        let (_, tl) = run(SchedulerKind::Fifo);
         let last = tl.points.last().unwrap();
         assert_eq!(last.running_jobs, 0, "jobs left running at the end");
         assert_eq!(last.waiting_jobs, 0, "jobs left waiting at the end");
@@ -216,11 +183,10 @@ mod tests {
 
     #[test]
     fn mean_utilization_matches_engine_accounting() {
-        let r = run(SchedulerKind::Tiresias);
-        let tl = Timeline::from_result(&r);
-        // The timeline is reconstructed from deployments (allocation) while
-        // the engine accrues service; both measure GPU occupancy, so they
-        // must agree within a loose band.
+        let (r, tl) = run(SchedulerKind::Tiresias);
+        // The timeline is folded from allocations while the engine
+        // accrues service; both measure GPU occupancy, so they must agree
+        // within a loose band.
         let a = tl.mean_utilization();
         let b = r.gpu_utilization();
         assert!((a - b).abs() < 0.2, "timeline {a} vs engine {b}");
@@ -228,8 +194,7 @@ mod tests {
 
     #[test]
     fn utilization_series_is_normalised() {
-        let r = run(SchedulerKind::Ones);
-        let tl = Timeline::from_result(&r);
+        let (_, tl) = run(SchedulerKind::Ones);
         let series = tl.utilization_series(50);
         assert_eq!(series.len(), 50);
         for (t, u) in &series {
@@ -241,32 +206,16 @@ mod tests {
     }
 
     #[test]
-    fn missing_trace_log_yields_error() {
-        let trace = Trace::generate(TraceConfig {
-            num_jobs: 2,
-            arrival_rate: 1.0 / 15.0,
-            seed: 5,
-            kill_fraction: 0.0,
-        });
-        let spec = ClusterSpec::longhorn_subset(16);
-        let scheduler = SchedulerKind::Fifo.build(&spec, &trace, &DetRng::seed(1));
-        let r = Simulation::new(
-            PerfModel::new(spec),
-            &trace,
-            scheduler,
-            SimConfig::default(), // record_trace = false
-        )
-        .run();
-        assert_eq!(
-            Timeline::try_from_result(&r).unwrap_err(),
-            FromResultError::NoTraceLog
-        );
+    fn no_events_give_an_empty_timeline() {
+        let tl = Timeline::from_events(16, &[]);
+        assert!(tl.points.is_empty());
+        assert_eq!(tl.peak_waiting(), 0);
+        assert_eq!(tl.mean_utilization(), 0.0);
     }
 
     #[test]
     fn queue_builds_under_contention() {
-        let r = run(SchedulerKind::Fifo);
-        let tl = Timeline::from_result(&r);
+        let (_, tl) = run(SchedulerKind::Fifo);
         assert!(tl.peak_waiting() >= 1, "no queueing observed under FIFO");
         assert!(tl.at(-1.0).is_none());
     }

@@ -1,16 +1,16 @@
 //! Observability must never change scheduling decisions: a run with the
-//! recorder fully on must produce a `SimResult` identical to one with it
-//! off. This file is its own test binary (own process), so flipping the
+//! recorder fully on must produce a `SimResult` and a lifecycle event
+//! stream identical to one with it off. This file is its own test binary (own process), so flipping the
 //! process-global level here cannot disturb other tests.
 
 use ones_cluster::ClusterSpec;
 use ones_dlperf::PerfModel;
 use ones_simcore::DetRng;
 use ones_simulator::experiment::SchedulerKind;
-use ones_simulator::{SimConfig, SimResult, Simulation};
+use ones_simulator::{BackendEvent, SimConfig, SimResult, Simulation, StepOutcome};
 use ones_workload::{Trace, TraceConfig};
 
-fn run(kind: SchedulerKind) -> SimResult {
+fn run(kind: SchedulerKind) -> (SimResult, Vec<BackendEvent>) {
     let trace = Trace::generate(TraceConfig {
         num_jobs: 12,
         arrival_rate: 1.0 / 12.0,
@@ -19,19 +19,24 @@ fn run(kind: SchedulerKind) -> SimResult {
     });
     let spec = ClusterSpec::longhorn_subset(16);
     let scheduler = kind.build(&spec, &trace, &DetRng::seed(1));
-    Simulation::new(
+    let mut sim = Simulation::new(
         PerfModel::new(spec),
         &trace,
         scheduler,
-        SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        },
-    )
-    .run()
+        SimConfig::default(),
+    );
+    let mut events = Vec::new();
+    while sim.step() == StepOutcome::Progressed {
+        events.extend_from_slice(sim.step_events());
+    }
+    (sim.into_result().0, events)
 }
 
-fn assert_identical(off: &SimResult, full: &SimResult, kind: SchedulerKind) {
+fn assert_identical(
+    (off, off_events): &(SimResult, Vec<BackendEvent>),
+    (full, full_events): &(SimResult, Vec<BackendEvent>),
+    kind: SchedulerKind,
+) {
     assert_eq!(off.makespan, full.makespan, "{kind:?}: makespan differs");
     assert_eq!(off.all_completed, full.all_completed, "{kind:?}");
     assert_eq!(off.deployments, full.deployments, "{kind:?}: deployments");
@@ -45,10 +50,13 @@ fn assert_identical(off: &SimResult, full: &SimResult, kind: SchedulerKind) {
         assert_eq!(a.killed, b.killed, "{kind:?}: kill status of {id:?}");
     }
     assert_eq!(
-        off.trace_log.events().len(),
-        full.trace_log.events().len(),
-        "{kind:?}: trace length differs"
+        off_events.len(),
+        full_events.len(),
+        "{kind:?}: event count differs"
     );
+    for (i, (a, b)) in off_events.iter().zip(full_events).enumerate() {
+        assert_eq!(a, b, "{kind:?}: lifecycle event {i} differs");
+    }
 }
 
 #[test]

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Repository CI gate: tier-1 build + tests, lint, formatting.
+# Repository CI gate: build, tests, lint and formatting over every
+# workspace crate, then end-to-end smoke runs.
 #
-#   scripts/ci.sh              # build, test, ones-lint, clippy, fmt,
+#   scripts/ci.sh              # workspace build, workspace tests,
+#                              # ones-lint, workspace clippy, fmt,
 #                              # trace-replay and daemon smoke
 #   RUN_LOOM=1 scripts/ci.sh   # also model-check the loom tests in
 #                              # crates/{evo,obs,oned}/tests/loom_*.rs
@@ -30,14 +32,14 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "==> cargo test (workspace)"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> ones-lint (concurrency & determinism rules; lint.allow for exceptions)"
 cargo run -q --release -p ones-lint
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -5,10 +5,23 @@
 use ones_repro::cluster::ClusterSpec;
 use ones_repro::dlperf::PerfModel;
 use ones_repro::simcore::{DetRng, SimTime};
-use ones_repro::simulator::{SchedulerKind, SimConfig, SimResult, Simulation};
-use ones_repro::workload::{Trace, TraceConfig};
+use ones_repro::simulator::{
+    BackendEvent, BackendEventKind, SchedulerKind, SimConfig, SimResult, Simulation, StepOutcome,
+    Timeline,
+};
+use ones_repro::workload::{JobId, Trace, TraceConfig};
 
 fn run(kind: SchedulerKind, jobs: usize, gpus: u32, seed: u64) -> SimResult {
+    run_logged(kind, jobs, gpus, seed).0
+}
+
+/// Like [`run`], also returning every step's lifecycle events in order.
+fn run_logged(
+    kind: SchedulerKind,
+    jobs: usize,
+    gpus: u32,
+    seed: u64,
+) -> (SimResult, Vec<BackendEvent>) {
     let trace = Trace::generate(TraceConfig {
         num_jobs: jobs,
         arrival_rate: 1.0 / 20.0,
@@ -17,16 +30,30 @@ fn run(kind: SchedulerKind, jobs: usize, gpus: u32, seed: u64) -> SimResult {
     });
     let spec = ClusterSpec::longhorn_subset(gpus);
     let scheduler = kind.build(&spec, &trace, &DetRng::seed(99));
-    Simulation::new(
+    drive(Simulation::new(
         PerfModel::new(spec),
         &trace,
         scheduler,
-        SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        },
-    )
-    .run()
+        SimConfig::default(),
+    ))
+}
+
+fn drive(mut sim: Simulation) -> (SimResult, Vec<BackendEvent>) {
+    let mut events = Vec::new();
+    while sim.step() == StepOutcome::Progressed {
+        events.extend_from_slice(sim.step_events());
+    }
+    (sim.into_result().0, events)
+}
+
+/// The `(job, batch)` of every start and resize in the stream.
+fn configured_batches(events: &[BackendEvent]) -> impl Iterator<Item = (JobId, u32)> + '_ {
+    events.iter().filter_map(|e| match e.kind {
+        BackendEventKind::Started { batch, .. } | BackendEventKind::Resized { batch, .. } => {
+            Some((e.job, batch))
+        }
+        _ => None,
+    })
 }
 
 const ALL: [SchedulerKind; 8] = [
@@ -83,23 +110,17 @@ fn lifecycle_causality_invariants() {
 
 #[test]
 fn gpu_capacity_never_exceeded() {
-    // Reconstruct concurrent GPU usage from the trace log: at any instant,
-    // the sum of running jobs' GPUs must fit the cluster. We check at each
-    // deployment via the recorded per-deployment summary.
-    let r = run(SchedulerKind::Ones, 8, 16, 7);
-    for ev in r.trace_log.of_kind("sched") {
-        // detail looks like "deploy job0:B256xC2 job3:B128xC1 ..."
-        let total: u32 = ev
-            .detail
-            .split_whitespace()
-            .filter_map(|tok| {
-                tok.rsplit_once("xC")
-                    .and_then(|(_, c)| c.parse::<u32>().ok())
-            })
-            .sum();
+    // Fold concurrent GPU usage from the lifecycle stream: at every
+    // instant, the sum of running jobs' GPUs must fit the cluster.
+    let (_, events) = run_logged(SchedulerKind::Ones, 8, 16, 7);
+    let timeline = Timeline::from_events(16, &events);
+    assert!(!timeline.points.is_empty());
+    for p in &timeline.points {
         assert!(
-            total <= 16,
-            "deployment uses {total} GPUs on a 16-GPU cluster"
+            p.busy_gpus <= 16,
+            "{} GPUs busy at t={} on a 16-GPU cluster",
+            p.busy_gpus,
+            p.at
         );
     }
 }
@@ -133,19 +154,8 @@ fn different_seeds_give_different_workloads_same_invariants() {
 fn ones_scales_batches_above_submission() {
     // On an idle-ish cluster ONES must actually use its elasticity: at
     // least one deployment should give some job a batch beyond B0.
-    let r = run(SchedulerKind::Ones, 4, 16, 13);
-    let mut saw_elastic = false;
-    for ev in r.trace_log.of_kind("sched") {
-        for tok in ev.detail.split_whitespace() {
-            if let Some((b_part, _)) = tok.rsplit_once("xC") {
-                if let Some((_, b)) = b_part.split_once(":B") {
-                    if b.parse::<u32>().unwrap_or(0) > 256 {
-                        saw_elastic = true;
-                    }
-                }
-            }
-        }
-    }
+    let (_, events) = run_logged(SchedulerKind::Ones, 4, 16, 13);
+    let saw_elastic = configured_batches(&events).any(|(_, batch)| batch > 256);
     assert!(
         saw_elastic,
         "ONES never grew any batch beyond the submitted sizes"
@@ -159,29 +169,17 @@ fn fixed_batch_schedulers_never_change_batches() {
         SchedulerKind::Fifo,
         SchedulerKind::Drl,
     ] {
-        let r = run(kind, 6, 16, 17);
-        for ev in r.trace_log.of_kind("sched") {
-            for tok in ev.detail.split_whitespace() {
-                let Some((b_part, _)) = tok.rsplit_once("xC") else {
-                    continue;
-                };
-                let Some((job_part, b)) = b_part.split_once(":B") else {
-                    continue;
-                };
-                let job_id: u64 = job_part
-                    .strip_prefix("job")
-                    .and_then(|s| s.parse().ok())
-                    .expect("job token");
-                let batch: u32 = b.parse().expect("batch token");
-                let submitted = r.jobs[&ones_repro::workload::JobId(job_id)]
-                    .spec
-                    .submit_batch;
-                assert_eq!(
-                    batch, submitted,
-                    "{kind:?} changed job{job_id}'s batch ({submitted} -> {batch})"
-                );
-            }
+        let (r, events) = run_logged(kind, 6, 16, 17);
+        let mut configured = 0;
+        for (job, batch) in configured_batches(&events) {
+            let submitted = r.jobs[&job].spec.submit_batch;
+            assert_eq!(
+                batch, submitted,
+                "{kind:?} changed {job}'s batch ({submitted} -> {batch})"
+            );
+            configured += 1;
         }
+        assert!(configured >= 6, "{kind:?}: not every job started");
     }
 }
 
@@ -255,23 +253,28 @@ fn killed_jobs_release_their_gpus() {
     });
     let spec = ClusterSpec::longhorn_subset(16);
     let scheduler = SchedulerKind::Fifo.build(&spec, &trace, &DetRng::seed(1));
-    let r = Simulation::new(
+    let (r, events) = drive(Simulation::new(
         PerfModel::new(spec),
         &trace,
         scheduler,
-        SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        },
-    )
-    .run();
+        SimConfig::default(),
+    ));
     assert!(r.all_completed);
-    // Every kill in the log must be followed by other jobs still making
-    // progress (the cluster is not wedged on phantom allocations).
-    let kills = r
-        .trace_log
-        .of_kind("job")
-        .filter(|e| e.detail == "killed")
-        .count();
-    assert!(kills >= 1);
+    let kills: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i].kind == BackendEventKind::Killed)
+        .collect();
+    assert!(!kills.is_empty());
+    // A kill frees the job's GPUs at once: the cluster drains to idle,
+    // and the first kill is followed by other jobs still making progress
+    // (the cluster is not wedged on phantom allocations).
+    let timeline = Timeline::from_events(16, &events);
+    let last = timeline.points.last().unwrap();
+    assert_eq!((last.busy_gpus, last.running_jobs), (0, 0));
+    let killed = events[kills[0]].job;
+    assert!(
+        events[kills[0]..]
+            .iter()
+            .any(|e| e.job != killed && matches!(e.kind, BackendEventKind::EpochEnded { .. })),
+        "no job progressed after the first kill"
+    );
 }
