@@ -3,7 +3,7 @@
 use crate::cache::ThroughputCache;
 use ones_cluster::{GpuId, Placement};
 use ones_dlperf::ModelProfile;
-use ones_schedcore::{ClusterView, JobSignature, JobStatus, Schedule};
+use ones_schedcore::{ClusterView, JobStatus, Schedule, SignatureBuilder};
 use ones_stats::Beta;
 use ones_workload::JobId;
 use std::collections::BTreeMap;
@@ -13,6 +13,44 @@ use std::collections::BTreeMap;
 /// that have not run yet, so fresh jobs are treated as having processed a
 /// small fraction of an epoch.
 pub const MIN_PROCESSED_EPOCHS: f64 = 0.1;
+
+/// Total batch [`EvoContext::assign_evenly`] gives a job over `c` workers:
+/// `min(R_j, per-GPU capacity × c)`, at least one sample per worker.
+#[must_use]
+pub(crate) fn split_target(limit: u32, max_local_batch: u32, c: u32) -> u32 {
+    limit.min(max_local_batch * c).max(c)
+}
+
+/// The workers of `held ∪ extra` in ascending GPU-id order, each with the
+/// local batch an even split of `target` gives its *assignment* position
+/// (`held` first, then `extra`; the remainder goes to the first-listed):
+/// exactly the slots [`EvoContext::assign_evenly`] writes for the
+/// concatenation `held ++ extra`. Both inputs must ascend and be disjoint.
+pub(crate) fn split_workers<'a>(
+    held: &'a [GpuId],
+    extra: &'a [GpuId],
+    target: u32,
+) -> impl Iterator<Item = (GpuId, u32)> + Clone + 'a {
+    let c = (held.len() + extra.len()) as u32;
+    let (base, rem) = (target / c.max(1), target % c.max(1));
+    let batch = move |pos: usize| (base + u32::from((pos as u32) < rem)).max(1);
+    let (mut h, mut e) = (0, 0);
+    std::iter::from_fn(move || {
+        let from_held = match (held.get(h), extra.get(e)) {
+            (Some(a), Some(b)) => a < b,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => return None,
+        };
+        if from_held {
+            h += 1;
+            Some((held[h - 1], batch(h - 1)))
+        } else {
+            e += 1;
+            Some((extra[e - 1], batch(held.len() + e - 1)))
+        }
+    })
+}
 
 /// Everything one evolution generation needs, borrowed from the scheduler.
 #[derive(Clone, Copy)]
@@ -124,67 +162,64 @@ impl EvoContext<'_> {
     /// caching never changes a score.
     #[must_use]
     pub fn throughput_in(&self, schedule: &Schedule, job: JobId) -> f64 {
-        let placement = schedule.placement(job);
-        if placement.is_empty() {
-            return 0.0;
-        }
+        let workers = schedule
+            .slots()
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, s)| {
+                s.filter(|sl| sl.job == job)
+                    .map(|sl| (GpuId(i as u32), sl.local_batch))
+            });
+        self.throughput_of(job, workers)
+    }
+
+    /// Throughput `X_j` of a *hypothetical* assignment: `job` keeping
+    /// `held` and growing onto `extra` (both ascending and disjoint), a
+    /// total batch of `target` (see [`split_target`]) split over
+    /// `held ++ extra` as [`EvoContext::assign_evenly`] would, without
+    /// materialising a trial schedule. Bit-identical to cloning the
+    /// schedule, assigning, and calling [`EvoContext::throughput_in`].
+    pub(crate) fn probe_throughput(
+        &self,
+        job: JobId,
+        target: u32,
+        held: &[GpuId],
+        extra: &[GpuId],
+    ) -> f64 {
+        self.throughput_of(job, split_workers(held, extra, target))
+    }
+
+    /// Throughput of `job` running `workers` — `(GPU, local batch)` pairs
+    /// in ascending GPU order — and zero when there are none. The walk
+    /// folds straight into the [`Schedule::job_signature`] key, so a cache
+    /// hit allocates nothing; the placement and batch vectors the model
+    /// reads are built on a miss only.
+    fn throughput_of(
+        &self,
+        job: JobId,
+        workers: impl Iterator<Item = (GpuId, u32)> + Clone,
+    ) -> f64 {
         let compute = || {
-            let profile = self.profile(job);
-            let batches = schedule.local_batches(job);
-            self.view.perf.throughput(&profile, &batches, &placement)
+            let (gpus, batches): (Vec<GpuId>, Vec<u32>) = workers.clone().unzip();
+            if gpus.is_empty() {
+                return 0.0;
+            }
+            self.view
+                .perf
+                .throughput(&self.profile(job), &batches, &Placement::new(gpus))
         };
         match self.cache {
             Some(cache) => {
-                let sig = schedule
-                    .job_signature(job, self.gpus_per_node())
-                    .expect("job is placed");
-                cache.get_or_insert_with((job, sig.placement, sig.batches), compute)
-            }
-            None => compute(),
-        }
-    }
-
-    /// Throughput `X_j` of a *hypothetical* assignment: `job` spread over
-    /// `gpus` (in assignment order, as [`EvoContext::assign_evenly`] would
-    /// place it) without materialising a trial schedule. Bit-identical to
-    /// cloning the schedule, assigning, and calling
-    /// [`EvoContext::throughput_in`] — the fill/scale-up search probes
-    /// dozens of configurations per idle GPU, and the `O(total gpus)`
-    /// clone per probe is what kept the derive phase from scaling past a
-    /// few hundred GPUs.
-    #[must_use]
-    pub fn probe_throughput(&self, job: JobId, gpus: &[GpuId]) -> f64 {
-        if gpus.is_empty() {
-            return 0.0;
-        }
-        let profile = self.profile(job);
-        // Replicate assign_evenly's split: target batch over |gpus|
-        // workers, remainder to the first-listed.
-        let c = gpus.len() as u32;
-        let target = self.limit(job).min(profile.max_local_batch * c).max(c);
-        let base = target / c;
-        let rem = target % c;
-        let mut pairs: Vec<(GpuId, u32)> = gpus
-            .iter()
-            .enumerate()
-            .map(|(i, &g)| (g, (base + u32::from((i as u32) < rem)).max(1)))
-            .collect();
-        // The model (and the batch-sequence hash) consume batches in
-        // GPU-id order, exactly as a schedule would report them.
-        pairs.sort_unstable_by_key(|&(g, _)| g);
-        let placement: Placement = pairs.iter().map(|&(g, _)| g).collect();
-        let batches: Vec<u32> = pairs.iter().map(|&(_, b)| b).collect();
-        let compute = || self.view.perf.throughput(&profile, &batches, &placement);
-        match self.cache {
-            Some(cache) => {
-                let spec = self.view.spec;
-                let psig = JobSignature::placement_shape_hash(
-                    placement.len() as u32,
-                    placement.nodes_spanned(spec) as u32,
-                    placement.max_runs_per_node(spec) as u32,
-                );
-                let bsig = JobSignature::batches_hash(batches.iter().copied());
-                cache.get_or_insert_with((job, psig, bsig), compute)
+                let mut sig = SignatureBuilder::new(self.gpus_per_node());
+                for (gpu, batch) in workers.clone() {
+                    sig.push(gpu, batch);
+                }
+                match sig.finish() {
+                    Some(sig) => {
+                        cache.get_or_insert_with((job, sig.placement, sig.batches), compute)
+                    }
+                    None => 0.0,
+                }
             }
             None => compute(),
         }
@@ -212,9 +247,8 @@ impl EvoContext<'_> {
         if gpus.is_empty() {
             return 0;
         }
-        let profile = self.profile(job);
         let c = gpus.len() as u32;
-        let target = self.limit(job).min(profile.max_local_batch * c).max(c); // at least one sample per worker
+        let target = split_target(self.limit(job), self.profile(job).max_local_batch, c);
         let base = target / c;
         let rem = target % c;
         for (i, &g) in gpus.iter().enumerate() {
@@ -228,17 +262,16 @@ impl EvoContext<'_> {
     /// job keeps `⌊R_j·c_j/B_j⌋` GPUs (the refresh scale-down rule) and its
     /// batch is re-split to `R_j`; a job that would keep zero GPUs is
     /// evicted. Returns the jobs whose configuration changed, for
-    /// delta-scoring dirty sets.
+    /// delta-scoring dirty sets. A schedule with no job over its limit —
+    /// the common case — costs one slot walk and is left untouched.
     pub fn enforce_limits(&self, schedule: &mut Schedule) -> Vec<JobId> {
-        let running: Vec<(JobId, (u32, u32))> = schedule.running_jobs().into_iter().collect();
-        let mut touched = Vec::new();
-        for (job, (batch, gpus)) in running {
-            let limit = self.limit(job);
-            if batch <= limit {
-                continue;
-            }
-            touched.push(job);
-            let keep = (limit * gpus / batch) as usize;
+        let over: Vec<(JobId, (u32, u32))> = schedule
+            .job_totals()
+            .into_iter()
+            .filter(|&(job, (batch, _))| batch > self.limit(job))
+            .collect();
+        for &(job, (batch, gpus)) in &over {
+            let keep = (self.limit(job) * gpus / batch) as usize;
             let placement = schedule.placement(job);
             schedule.evict(job);
             if keep == 0 {
@@ -247,7 +280,7 @@ impl EvoContext<'_> {
             let kept: Vec<GpuId> = placement.gpus().iter().copied().take(keep).collect();
             self.assign_evenly(schedule, job, &kept);
         }
-        touched
+        over.into_iter().map(|(job, _)| job).collect()
     }
 }
 
@@ -466,24 +499,49 @@ mod tests {
         let cache = crate::cache::ThroughputCache::new();
         let c = ctx(&fx, &view).with_cache(&cache);
         let plain = ctx(&fx, &view);
-        for gpus in [
-            vec![GpuId(0)],
-            vec![GpuId(1), GpuId(2), GpuId(0)], // assignment order ≠ id order
-            vec![GpuId(4), GpuId(2)],           // cross-node
-            (0..8).map(GpuId).collect::<Vec<_>>(),
+        let ids = |v: &[u32]| v.iter().map(|&g| GpuId(g)).collect::<Vec<_>>();
+        for (held, extra) in [
+            (ids(&[]), ids(&[0])),
+            (ids(&[1, 2]), ids(&[0])), // assignment order ≠ id order
+            (ids(&[4]), ids(&[2])),    // cross-node
+            (ids(&[0, 3]), ids(&[1, 2, 5])),
+            (ids(&[]), (0..8).map(GpuId).collect()),
+            (ids(&[2, 6]), ids(&[])),
         ] {
-            let probe = c.probe_throughput(JobId(0), &gpus);
+            let n = (held.len() + extra.len()) as u32;
+            let target = split_target(c.limit(JobId(0)), c.profile(JobId(0)).max_local_batch, n);
+            let probe = c.probe_throughput(JobId(0), target, &held, &extra);
             let mut trial = Schedule::empty(8);
-            plain.assign_evenly(&mut trial, JobId(0), &gpus);
+            let order: Vec<GpuId> = held.iter().chain(&extra).copied().collect();
+            plain.assign_evenly(&mut trial, JobId(0), &order);
             let direct = plain.throughput_in(&trial, JobId(0));
-            assert_eq!(probe.to_bits(), direct.to_bits(), "gpus={gpus:?}");
+            assert_eq!(probe.to_bits(), direct.to_bits(), "{held:?} + {extra:?}");
+            assert_eq!(
+                plain
+                    .probe_throughput(JobId(0), target, &held, &extra)
+                    .to_bits(),
+                direct.to_bits(),
+                "uncached probe diverges for {held:?} + {extra:?}"
+            );
             // And the probe's cache entry serves the schedule-keyed
             // lookup for the same configuration (shared signature space).
             let hits = cache.hits();
             assert_eq!(c.throughput_in(&trial, JobId(0)).to_bits(), probe.to_bits());
             assert_eq!(cache.hits(), hits + 1, "schedule lookup should hit");
         }
-        assert_eq!(c.probe_throughput(JobId(0), &[]), 0.0);
+        assert_eq!(c.probe_throughput(JobId(0), 256, &[], &[]), 0.0);
+        assert_eq!(plain.probe_throughput(JobId(0), 256, &[], &[]), 0.0);
+    }
+
+    #[test]
+    fn split_workers_walks_merged_ascending_with_positional_batches() {
+        // held = [1, 5], extra = [0, 3]: assignment order 1, 5, 0, 3 gets
+        // batches 4, 4, 3, 3 (remainder 2 to the first two listed).
+        let got: Vec<(u32, u32)> = split_workers(&[GpuId(1), GpuId(5)], &[GpuId(0), GpuId(3)], 14)
+            .map(|(g, b)| (g.0, b))
+            .collect();
+        assert_eq!(got, vec![(0, 3), (1, 4), (3, 3), (5, 4)]);
+        assert_eq!(split_workers(&[], &[], 8).count(), 0);
     }
 
     #[test]

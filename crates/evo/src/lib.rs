@@ -20,8 +20,10 @@
 //!   `G_i`, select the top-K into `G_{i+1}`, surface the best candidate
 //!   `S_*`.
 //!
-//! Candidate scoring inside a generation is embarrassingly parallel and
-//! uses rayon when the population is large.
+//! Candidate derivation (crossover, mutation and legalisation) and the
+//! refresh of every member run on rayon whenever the search's
+//! `parallel_derive` is set, with no population-size threshold; scoring
+//! is a sequential merge of score cards.
 //!
 //! Three transparent accelerations ride along (see [`cache`] and the
 //! determinism notes in [`search`]): a search-scoped [`ThroughputCache`]

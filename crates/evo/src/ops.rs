@@ -17,7 +17,7 @@
 //! (marking an untouched job dirty costs a recompute, missing a touched
 //! one would corrupt scores).
 
-use crate::context::EvoContext;
+use crate::context::{split_target, split_workers, EvoContext};
 use crate::scoring;
 use ones_cluster::GpuId;
 use ones_schedcore::{DirtySet, Schedule};
@@ -72,7 +72,7 @@ pub fn refresh(
     }
 
     // (4) Fill any remaining idle GPUs (Figure 7).
-    dirty.extend(fill_idle(ctx, &mut s, rng));
+    dirty.extend(fill_idle(ctx, &mut s, rng, &mut FillStats::default()));
     (s, dirty)
 }
 
@@ -106,12 +106,36 @@ fn steal_gpu_from_longest(
     Some(last)
 }
 
+/// Work done by fill calls: selection rounds run (one per action taken,
+/// plus a last one when nothing can use the GPUs still idle) and
+/// hypothetical placements probed. Diagnostics only; the search sums them
+/// per derive task.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FillStats {
+    /// Selection rounds run with at least one GPU idle.
+    pub rounds: u64,
+    /// Resume and scale-up placements evaluated.
+    pub probes: u64,
+}
+
+impl std::ops::AddAssign for FillStats {
+    fn add_assign(&mut self, other: FillStats) {
+        self.rounds += other.rounds;
+        self.probes += other.probes;
+    }
+}
+
 /// Fills idle GPUs by resuming waiting jobs or scaling up running jobs,
 /// repeatedly selecting the candidate with the smallest utilisation
 /// increase `Δφ_j · Y_j` via Algorithm 1 sampling (Figure 7). Returns the
-/// jobs whose slots changed.
-pub fn fill_idle(ctx: &EvoContext<'_>, s: &mut Schedule, rng: &mut DetRng) -> DirtySet {
-    fill(ctx, s, rng, true)
+/// jobs whose slots changed; `stats` accumulates the work done.
+pub fn fill_idle(
+    ctx: &EvoContext<'_>,
+    s: &mut Schedule,
+    rng: &mut DetRng,
+    stats: &mut FillStats,
+) -> DirtySet {
+    fill(ctx, s, rng, true, stats)
 }
 
 /// Resume-only filling: places waiting jobs on idle GPUs (one each, SRUF
@@ -119,26 +143,103 @@ pub fn fill_idle(ctx: &EvoContext<'_>, s: &mut Schedule, rng: &mut DetRng) -> Di
 /// to respond immediately to arrivals/completions while the §3.2.2 update
 /// rule blocks disruptive redeployments. Returns the jobs placed.
 pub fn admit_waiting(ctx: &EvoContext<'_>, s: &mut Schedule, rng: &mut DetRng) -> DirtySet {
-    fill(ctx, s, rng, false)
+    fill(ctx, s, rng, false, &mut FillStats::default())
 }
 
+/// A schedulable job as one fill call sees it: constants of its ρ draw.
+struct Candidate {
+    job: JobId,
+    limit: u32,
+    max_local_batch: u32,
+    /// Remaining workload `Y_j` under this call's ρ draw.
+    rem: f64,
+    /// Whether the job holds GPUs (resume skips it).
+    running: bool,
+}
+
+/// A job holding GPUs in the schedule under fill.
+struct Holding {
+    job: JobId,
+    /// Global batch `B_j`.
+    batch: u32,
+    /// The GPUs it holds, ascending.
+    gpus: Vec<GpuId>,
+    /// Its index in the candidate list; `None` for jobs that cannot scale
+    /// (completed, or unknown to the view).
+    cand: Option<usize>,
+    /// Memoised utilisation `T_j · c_j` of its current configuration.
+    before_u: Option<f64>,
+}
+
+enum FillAction {
+    /// Resume candidate `i` on the first idle GPU.
+    Resume(usize),
+    /// Grow holding `i` onto the first `n` idle GPUs.
+    ScaleUp(usize, usize),
+}
+
+/// Figure 7's fill, as an incremental search over an index built once per
+/// call: the idle GPUs (every action takes a prefix, so the list is a
+/// cursor), the holdings in job-id order, and the ρ-weighted candidates.
+/// Only the job an action changed has its memoised utilisation reset.
+/// Ties break on strict `<` in job-id order, resume before scale-up.
 fn fill(
     ctx: &EvoContext<'_>,
     s: &mut Schedule,
     rng: &mut DetRng,
     allow_scale_up: bool,
+    stats: &mut FillStats,
 ) -> DirtySet {
+    // Always draw ρ, even with nothing idle: callers such as the
+    // scheduler's admission pass share one stream across calls.
     let rhos = scoring::sample_rhos(ctx, rng);
     let mut dirty = DirtySet::new();
-    loop {
-        let idle = s.idle_gpus();
-        if idle.is_empty() {
-            return dirty;
-        }
-        // One slot walk per round covers both the resume membership test
-        // and the scale-up candidate scan (`is_running` per schedulable
-        // job would make each round O(jobs · gpus)).
-        let running = s.running_jobs();
+    let idle = s.idle_gpus();
+    if idle.is_empty() {
+        return dirty;
+    }
+
+    // Every holding, unknown jobs included, so the table mirrors the
+    // slots exactly.
+    let mut holdings: Vec<Holding> = s
+        .fold_jobs(|(batch, gpus): &mut (u32, Vec<GpuId>), gpu, slot| {
+            *batch += slot.local_batch;
+            gpus.push(gpu);
+        })
+        .into_iter()
+        .map(|(job, (batch, gpus))| Holding {
+            job,
+            batch,
+            gpus,
+            cand: None,
+            before_u: None,
+        })
+        .collect();
+    let mut cands: Vec<Candidate> = rhos
+        .iter()
+        .enumerate()
+        .map(|(i, (&job, &rho))| {
+            let running = match holdings.binary_search_by_key(&job, |h| h.job) {
+                Ok(k) => {
+                    holdings[k].cand = Some(i);
+                    true
+                }
+                Err(_) => false,
+            };
+            Candidate {
+                job,
+                limit: ctx.limit(job),
+                max_local_batch: ctx.profile(job).max_local_batch,
+                rem: ctx.remaining_workload(job, rho),
+                running,
+            }
+        })
+        .collect();
+
+    let mut next = 0;
+    while next < idle.len() {
+        stats.rounds += 1;
+        let free = &idle[next..];
         let mut best: Option<(f64, FillAction)> = None;
 
         // Resume candidates: schedulable jobs not currently in the genome.
@@ -147,104 +248,128 @@ fn fill(
         // growing an already-running job (§2.2: "execute some job with a
         // smaller size first ... reduce waiting time of the jobs"), so
         // resumes are ranked first, by SRUF (smallest estimated remaining
-        // time). `probe_throughput` evaluates the hypothetical one-GPU
-        // assignment without materialising a trial schedule.
-        for j in ctx.schedulable() {
-            let job = j.id();
-            if running.contains_key(&job) {
+        // time).
+        for (i, c) in cands.iter().enumerate() {
+            if c.running {
                 continue;
             }
-            let Some(&rho) = rhos.get(&job) else { continue };
-            let x = ctx.probe_throughput(job, &idle[..1]);
+            stats.probes += 1;
+            let target = split_target(c.limit, c.max_local_batch, 1);
+            let x = ctx.probe_throughput(c.job, target, &[], &free[..1]);
             if x <= 0.0 {
                 continue;
             }
-            let delta = ctx.remaining_workload(job, rho) / x;
+            let delta = c.rem / x;
             if best.as_ref().is_none_or(|(d, _)| delta < *d) {
-                best = Some((delta, FillAction::Resume(job)));
+                best = Some((delta, FillAction::Resume(i)));
             }
-        }
-        if let Some((_, FillAction::Resume(job))) = best {
-            ctx.assign_evenly(s, job, &[idle[0]]);
-            dirty.insert(job);
-            continue;
         }
 
-        // Past the resume shortcut, `best` is empty; in resume-only mode
-        // there is nothing else to try.
-        if !allow_scale_up {
-            return dirty;
-        }
-        // Scale-up candidates: running jobs below their limit. The limit
-        // justifies up to ⌊R·c/B⌋ − c extra GPUs (Figure 7); intermediate
-        // power-of-two counts are also evaluated because communication
-        // overhead can make the maximal spread worse than a smaller one
-        // (e.g. a config that stays within one node).
-        for (&job, &(batch, gpus)) in &running {
-            let limit = ctx.limit(job);
-            if batch >= limit {
-                continue;
-            }
-            let Some(&rho) = rhos.get(&job) else { continue };
-            let max_extra = ((limit * gpus / batch).saturating_sub(gpus) as usize).min(idle.len());
-            if max_extra == 0 {
-                continue;
-            }
-            let rem = ctx.remaining_workload(job, rho);
-            let before_u = utilisation(ctx, s, job, rem);
-            let held: Vec<GpuId> = s.placement(job).gpus().to_vec();
-            let mut extra = 1usize;
-            loop {
-                let mut all = held.clone();
-                all.extend(idle.iter().copied().take(extra));
-                let x = ctx.probe_throughput(job, &all);
-                let after_u = if x <= 0.0 {
-                    0.0
-                } else {
-                    rem * (all.len() as f64) / x
+        // Past the resume shortcut, in resume-only mode there is nothing
+        // else to try.
+        if best.is_none() && allow_scale_up {
+            // Scale-up candidates: running jobs below their limit. The
+            // limit justifies up to ⌊R·c/B⌋ − c extra GPUs (Figure 7);
+            // intermediate power-of-two counts are also evaluated because
+            // communication overhead can make the maximal spread worse
+            // than a smaller one (e.g. a config that stays within one
+            // node).
+            for (i, h) in holdings.iter_mut().enumerate() {
+                let Some(c) = h.cand.map(|k| &cands[k]) else {
+                    continue;
                 };
-                let delta = after_u - before_u;
-                if best.as_ref().is_none_or(|(d, _)| delta < *d) {
-                    best = Some((delta, FillAction::ScaleUp(job, extra)));
+                if h.batch >= c.limit {
+                    continue;
                 }
-                if extra == max_extra {
-                    break;
+                let gpus = h.gpus.len() as u32;
+                let max_extra =
+                    ((c.limit * gpus / h.batch).saturating_sub(gpus) as usize).min(free.len());
+                if max_extra == 0 {
+                    continue;
                 }
-                extra = (extra * 2).min(max_extra);
+                let before_u = *h
+                    .before_u
+                    .get_or_insert_with(|| utilisation(ctx, s, h.job, gpus, c.rem));
+                let mut extra = 1usize;
+                loop {
+                    stats.probes += 1;
+                    let n = h.gpus.len() + extra;
+                    let target = split_target(c.limit, c.max_local_batch, n as u32);
+                    let x = ctx.probe_throughput(h.job, target, &h.gpus, &free[..extra]);
+                    let after_u = if x <= 0.0 {
+                        0.0
+                    } else {
+                        c.rem * (n as f64) / x
+                    };
+                    let delta = after_u - before_u;
+                    if best.as_ref().is_none_or(|(d, _)| delta < *d) {
+                        best = Some((delta, FillAction::ScaleUp(i, extra)));
+                    }
+                    if extra == max_extra {
+                        break;
+                    }
+                    extra = (extra * 2).min(max_extra);
+                }
             }
         }
 
         match best {
-            Some((_, FillAction::Resume(job))) => {
-                ctx.assign_evenly(s, job, &[idle[0]]);
-                dirty.insert(job);
+            Some((_, FillAction::Resume(i))) => {
+                let c = &mut cands[i];
+                c.running = true;
+                let gpu = free[0];
+                let batch = split_target(c.limit, c.max_local_batch, 1);
+                s.assign(gpu, c.job, batch);
+                let k = holdings
+                    .binary_search_by_key(&c.job, |h| h.job)
+                    .expect_err("a resumed job held no GPU");
+                holdings.insert(
+                    k,
+                    Holding {
+                        job: c.job,
+                        batch,
+                        gpus: vec![gpu],
+                        cand: Some(i),
+                        before_u: None,
+                    },
+                );
+                dirty.insert(c.job);
+                next += 1;
             }
-            Some((_, FillAction::ScaleUp(job, extra))) => {
-                let mut all: Vec<GpuId> = s.placement(job).gpus().to_vec();
-                all.extend(idle.iter().copied().take(extra));
-                s.evict(job);
-                ctx.assign_evenly(s, job, &all);
-                dirty.insert(job);
+            Some((_, FillAction::ScaleUp(i, extra))) => {
+                let h = &mut holdings[i];
+                let c = &cands[h.cand.expect("only candidates scale up")];
+                let target =
+                    split_target(c.limit, c.max_local_batch, (h.gpus.len() + extra) as u32);
+                // Overwriting the held slots re-splits them in place: the
+                // same slots an evict-and-reassign would write.
+                let mut gpus = Vec::with_capacity(h.gpus.len() + extra);
+                let mut batch = 0;
+                for (gpu, b) in split_workers(&h.gpus, &free[..extra], target) {
+                    s.assign(gpu, h.job, b);
+                    gpus.push(gpu);
+                    batch += b;
+                }
+                h.gpus = gpus;
+                h.batch = batch;
+                h.before_u = None;
+                dirty.insert(h.job);
+                next += extra;
             }
-            None => return dirty, // nothing can use the idle GPUs
+            None => break, // nothing can use the idle GPUs
         }
     }
+    dirty
 }
 
-/// Remaining utilisation `T_j · c_j` of one job under a schedule, given
-/// its remaining workload `Y_j = rem`.
-fn utilisation(ctx: &EvoContext<'_>, s: &Schedule, job: JobId, rem: f64) -> f64 {
+/// Remaining utilisation `T_j · c_j` of one job holding `gpus` GPUs under
+/// a schedule, given its remaining workload `Y_j = rem`.
+fn utilisation(ctx: &EvoContext<'_>, s: &Schedule, job: JobId, gpus: u32, rem: f64) -> f64 {
     let x = ctx.throughput_in(s, job);
     if x <= 0.0 {
         return 0.0;
     }
-    let c = f64::from(s.gpu_count(job));
-    rem * c / x
-}
-
-enum FillAction {
-    Resume(JobId),
-    ScaleUp(JobId, usize),
+    rem * f64::from(gpus) / x
 }
 
 /// Uniform crossover (Figure 8): returns two children plus the jobs whose
@@ -286,24 +411,26 @@ pub fn crossover(a: &Schedule, b: &Schedule, rng: &mut DetRng) -> (Schedule, Sch
 
 /// Uniform mutation (Figure 9): preempts each running job with probability
 /// `rate` and refills the freed GPUs. Returns the mutated schedule and the
-/// jobs it touched (preempted and/or refilled).
+/// jobs it touched (preempted and/or refilled); `stats` accumulates the
+/// refill's work.
 #[must_use]
 pub fn mutate(
     ctx: &EvoContext<'_>,
     candidate: &Schedule,
     rate: f64,
     rng: &mut DetRng,
+    stats: &mut FillStats,
 ) -> (Schedule, DirtySet) {
     assert!((0.0..=1.0).contains(&rate), "mutation rate out of range");
     let mut s = candidate.clone();
     let mut dirty = DirtySet::new();
-    for job in candidate.running_jobs().keys() {
+    for (job, _) in candidate.job_totals() {
         if rng.chance(rate) {
-            s.evict(*job);
-            dirty.insert(*job);
+            s.evict(job);
+            dirty.insert(job);
         }
     }
-    dirty.extend(fill_idle(ctx, &mut s, rng));
+    dirty.extend(fill_idle(ctx, &mut s, rng, stats));
     (s, dirty)
 }
 
@@ -414,7 +541,7 @@ mod tests {
             let mut rng = DetRng::seed(seed);
             // Remove the unknown filler from telemetry concerns: fill only
             // sees GPU 0 idle.
-            fill_idle(&c, &mut trial, &mut rng);
+            fill_idle(&c, &mut trial, &mut rng, &mut FillStats::default());
             if trial.is_running(JobId(1)) && !trial.is_running(JobId(0)) {
                 wins += 1;
             }
@@ -475,7 +602,7 @@ mod tests {
         s.assign(GpuId(0), JobId(0), 256);
         s.assign(GpuId(1), JobId(1), 256);
 
-        let (kept, touched) = mutate(&c, &s, 0.0, &mut DetRng::seed(6));
+        let (kept, touched) = mutate(&c, &s, 0.0, &mut DetRng::seed(6), &mut FillStats::default());
         assert!(kept.is_running(JobId(0)) && kept.is_running(JobId(1)));
         // Dirty-set contract: every job whose slots changed is reported.
         for g in 0..8u32 {
@@ -496,7 +623,7 @@ mod tests {
         // with no fill candidates the GPUs empty out. Use unknown limits:
         // simplest: verify the mutated schedule differs or jobs were
         // reassigned fresh at their limit.
-        let (mutated, _) = mutate(&c, &s, 1.0, &mut DetRng::seed(6));
+        let (mutated, _) = mutate(&c, &s, 1.0, &mut DetRng::seed(6), &mut FillStats::default());
         for j in [JobId(0), JobId(1)] {
             if mutated.is_running(j) {
                 assert!(mutated.global_batch(j) <= c.limit(j));
@@ -510,7 +637,13 @@ mod tests {
         let fx = Fixture::new(1);
         let view = fx.view();
         let c = ctx(&fx, &view);
-        let _ = mutate(&c, &Schedule::empty(8), 1.5, &mut DetRng::seed(1));
+        let _ = mutate(
+            &c,
+            &Schedule::empty(8),
+            1.5,
+            &mut DetRng::seed(1),
+            &mut FillStats::default(),
+        );
     }
 
     use ones_cluster::GpuId;

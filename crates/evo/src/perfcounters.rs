@@ -2,7 +2,8 @@
 //!
 //! The search accumulates these across generations: how much work each
 //! phase did (refresh / derive+legalise / score+select wall time), how
-//! many candidates were scored, and how the search-scoped
+//! many candidates were scored, how many fill rounds and probes the
+//! derive phase ran, and how the search-scoped
 //! [`ThroughputCache`](crate::cache::ThroughputCache) performed. The cache
 //! outlives generations, so besides the cumulative hit/miss totals the
 //! search records the *last generation's* hits and misses — their ratio
@@ -35,6 +36,10 @@ static REG_DERIVE_NANOS: LazyLock<&'static ones_obs::Counter> =
     LazyLock::new(|| ones_obs::counter("evo.search.derive_nanos"));
 static REG_SCORE_NANOS: LazyLock<&'static ones_obs::Counter> =
     LazyLock::new(|| ones_obs::counter("evo.search.score_nanos"));
+static REG_FILL_ROUNDS: LazyLock<&'static ones_obs::Counter> =
+    LazyLock::new(|| ones_obs::counter("evo.derive.fill_rounds"));
+static REG_FILL_PROBES: LazyLock<&'static ones_obs::Counter> =
+    LazyLock::new(|| ones_obs::counter("evo.derive.fill_probes"));
 
 /// Counters accumulated by
 /// [`EvolutionarySearch`](crate::search::EvolutionarySearch) across every
@@ -66,6 +71,11 @@ pub struct EvoPerfCounters {
     pub derive_nanos: u64,
     /// Wall time in ρ-sampling, scoring and selection, nanoseconds.
     pub score_nanos: u64,
+    /// Fill selection rounds run while deriving children (mutation
+    /// refills and legalisation; refresh is not counted).
+    pub fill_rounds: u64,
+    /// Resume and scale-up placements probed by those fill rounds.
+    pub fill_probes: u64,
 }
 
 impl EvoPerfCounters {
@@ -102,7 +112,7 @@ impl EvoPerfCounters {
     }
 
     /// Forwards the counter increments accumulated since `before` into the
-    /// `evo.search.*` metrics registry.
+    /// `evo.search.*` and `evo.derive.*` metrics registry keys.
     pub(crate) fn forward_delta_to_registry(&self, before: &EvoPerfCounters) {
         REG_GENERATIONS.add(self.generations - before.generations);
         REG_SCORED.add(self.candidates_scored - before.candidates_scored);
@@ -113,11 +123,14 @@ impl EvoPerfCounters {
         REG_REFRESH_NANOS.add(self.refresh_nanos - before.refresh_nanos);
         REG_DERIVE_NANOS.add(self.derive_nanos - before.derive_nanos);
         REG_SCORE_NANOS.add(self.score_nanos - before.score_nanos);
+        REG_FILL_ROUNDS.add(self.fill_rounds - before.fill_rounds);
+        REG_FILL_PROBES.add(self.fill_probes - before.fill_probes);
     }
 
     /// The process-wide view of the same counters, read back from the
-    /// `evo.search.*` registry keys: totals across every search that ran
-    /// in this process (one scheduler's local counters are a lower bound).
+    /// `evo.search.*` and `evo.derive.*` registry keys: totals across
+    /// every search that ran in this process (one scheduler's local
+    /// counters are a lower bound).
     #[must_use]
     pub fn from_registry() -> EvoPerfCounters {
         EvoPerfCounters {
@@ -134,6 +147,8 @@ impl EvoPerfCounters {
             refresh_nanos: REG_REFRESH_NANOS.value(),
             derive_nanos: REG_DERIVE_NANOS.value(),
             score_nanos: REG_SCORE_NANOS.value(),
+            fill_rounds: REG_FILL_ROUNDS.value(),
+            fill_probes: REG_FILL_PROBES.value(),
         }
     }
 }

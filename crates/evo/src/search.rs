@@ -33,7 +33,7 @@
 
 use crate::cache::ThroughputCache;
 use crate::context::EvoContext;
-use crate::ops;
+use crate::ops::{self, FillStats};
 use crate::perfcounters::EvoPerfCounters;
 use crate::scoring::{self, ScoreCard};
 use ones_schedcore::{DirtySet, JobRun, Schedule};
@@ -113,10 +113,11 @@ fn legalise(
     mut child: Schedule,
     mut rng: DetRng,
     reorder: bool,
+    stats: &mut FillStats,
 ) -> (Schedule, DirtySet, Option<Vec<JobRun>>) {
     let mut dirty = DirtySet::new();
     dirty.extend(ctx.enforce_limits(&mut child));
-    dirty.extend(ops::fill_idle(ctx, &mut child, &mut rng));
+    dirty.extend(ops::fill_idle(ctx, &mut child, &mut rng, stats));
     if reorder {
         let (packed, layout) = child.reordered_with_layout();
         (packed, dirty, Some(layout))
@@ -316,61 +317,79 @@ impl EvolutionarySearch {
             dirty.extend(legal_dirty);
             ScoreCard::derive(&gctx, child, parent_card, &dirty, layout)
         };
+        // Each task counts its own fill work; the counts are summed after
+        // the map, so the hot loop shares no counter.
         let pair_idx: Vec<usize> = (0..pairs.len()).collect();
-        let crossed: Vec<((Schedule, ScoreCard), (Schedule, ScoreCard))> =
+        let crossed: Vec<([(Schedule, ScoreCard); 2], FillStats)> =
             map_maybe_parallel(parallel, &pair_idx, |&p| {
                 let (ai, bi) = pairs[p];
+                let mut fill = FillStats::default();
                 let (c1, c2, xdirty) = ops::crossover(
                     &refreshed[ai],
                     &refreshed[bi],
                     &mut base.fork_idx("cross", p as u64),
                 );
-                let (s1, d1, l1) =
-                    legalise(&gctx, c1, base.fork_idx("legalise", 2 * p as u64), reorder);
+                let (s1, d1, l1) = legalise(
+                    &gctx,
+                    c1,
+                    base.fork_idx("legalise", 2 * p as u64),
+                    reorder,
+                    &mut fill,
+                );
                 let (s2, d2, l2) = legalise(
                     &gctx,
                     c2,
                     base.fork_idx("legalise", 2 * p as u64 + 1),
                     reorder,
+                    &mut fill,
                 );
                 let card1 =
                     derive_card(&s1, &refreshed_cards[ai], xdirty.clone(), d1, l1.as_deref());
                 let card2 = derive_card(&s2, &refreshed_cards[bi], xdirty, d2, l2.as_deref());
-                ((s1, card1), (s2, card2))
+                ([(s1, card1), (s2, card2)], fill)
             });
         let mutant_idx: Vec<usize> = (0..parents.len()).collect();
-        let mutants: Vec<(Schedule, ScoreCard)> = map_maybe_parallel(parallel, &mutant_idx, |&m| {
-            let (child, mdirty) = ops::mutate(
-                &gctx,
-                &refreshed[parents[m]],
-                mutation_rate,
-                &mut base.fork_idx("mutate", m as u64),
-            );
-            let (s, d, l) = legalise(
-                &gctx,
-                child,
-                base.fork_idx("legalise", (2 * crossover_pairs + m) as u64),
-                reorder,
-            );
-            let card = derive_card(&s, &refreshed_cards[parents[m]], mdirty, d, l.as_deref());
-            (s, card)
-        });
+        let mutants: Vec<((Schedule, ScoreCard), FillStats)> =
+            map_maybe_parallel(parallel, &mutant_idx, |&m| {
+                let mut fill = FillStats::default();
+                let (child, mdirty) = ops::mutate(
+                    &gctx,
+                    &refreshed[parents[m]],
+                    mutation_rate,
+                    &mut base.fork_idx("mutate", m as u64),
+                    &mut fill,
+                );
+                let (s, d, l) = legalise(
+                    &gctx,
+                    child,
+                    base.fork_idx("legalise", (2 * crossover_pairs + m) as u64),
+                    reorder,
+                    &mut fill,
+                );
+                let card = derive_card(&s, &refreshed_cards[parents[m]], mdirty, d, l.as_deref());
+                ((s, card), fill)
+            });
         self.counters.derive_nanos += t_derive.elapsed().as_nanos() as u64;
 
         // Pool in the documented order: survivors, crossover children
         // (pair-major), mutants.
         let mut pool: Vec<Schedule> = refreshed;
         let mut pool_cards: Vec<ScoreCard> = refreshed_cards;
-        for ((s1, card1), (s2, card2)) in crossed {
-            pool.push(s1);
-            pool_cards.push(card1);
-            pool.push(s2);
-            pool_cards.push(card2);
+        let mut fill = FillStats::default();
+        for (kids, f) in crossed {
+            fill += f;
+            for (s, card) in kids {
+                pool.push(s);
+                pool_cards.push(card);
+            }
         }
-        for (s, card) in mutants {
+        for ((s, card), f) in mutants {
+            fill += f;
             pool.push(s);
             pool_cards.push(card);
         }
+        self.counters.fill_rounds += fill.rounds;
+        self.counters.fill_probes += fill.probes;
 
         // Selection: Algorithm 1 sampling, keep the K best. The sort is
         // stable under total_cmp, so equal scores keep pool order and the
@@ -585,6 +604,17 @@ mod tests {
             );
             assert_eq!(seq.population(), par.population());
         }
+        // Fill work is counted per derive task and summed after the map,
+        // so the totals cannot depend on how the tasks were scheduled.
+        let (sc, pc) = (seq.perf_counters(), par.perf_counters());
+        assert!(
+            sc.fill_rounds > 0 && sc.fill_probes > 0,
+            "derive ran no fill"
+        );
+        assert_eq!(
+            (sc.fill_rounds, sc.fill_probes),
+            (pc.fill_rounds, pc.fill_probes)
+        );
     }
 
     #[test]

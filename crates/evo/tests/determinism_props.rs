@@ -251,7 +251,7 @@ proptest! {
 
         // mutate (preempt + refill), then reorder on top — the search's
         // real derive pipeline for a mutant.
-        let (m, mdirty) = ops::mutate(&ctx, &a, rate, &mut rng);
+        let (m, mdirty) = ops::mutate(&ctx, &a, rate, &mut rng, &mut ops::FillStats::default());
         let dm = ScoreCard::derive(&ctx, &m, &card_a, &mdirty, None);
         assert_card_matches_full(&ctx, &m, &dm)?;
         let (mp, mlayout) = m.reordered_with_layout();
@@ -260,7 +260,7 @@ proptest! {
 
         // fill_idle applied in place.
         let mut f = a.clone();
-        let fdirty = ops::fill_idle(&ctx, &mut f, &mut rng);
+        let fdirty = ops::fill_idle(&ctx, &mut f, &mut rng, &mut ops::FillStats::default());
         let df = ScoreCard::derive(&ctx, &f, &card_a, &fdirty, None);
         assert_card_matches_full(&ctx, &f, &df)?;
     }

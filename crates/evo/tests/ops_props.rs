@@ -2,12 +2,14 @@
 //! genomes and live state they are given, the operators must emit legal
 //! schedules (memory limits, batch limits, no phantom jobs) — illegal
 //! candidates would be rejected by the simulator's deploy validation and
-//! crash the scheduler.
+//! crash the scheduler. The incremental fill is also pinned to a
+//! rescanning oracle: identical schedules, dirty sets and ρ draws.
 
 use ones_cluster::{ClusterSpec, GpuId};
 use ones_dlperf::{ConvergenceModel, DatasetKind, ModelKind, PerfModel};
-use ones_evo::{ops, EvoConfig, EvoContext, EvolutionarySearch};
-use ones_schedcore::{ClusterView, JobPhase, JobStatus, Schedule};
+use ones_evo::ops::FillStats;
+use ones_evo::{ops, scoring, EvoConfig, EvoContext, EvolutionarySearch, ThroughputCache};
+use ones_schedcore::{ClusterView, DirtySet, JobPhase, JobStatus, Schedule};
 use ones_simcore::{DetRng, SimTime};
 use ones_stats::Beta;
 use ones_workload::{JobId, JobSpec};
@@ -26,7 +28,10 @@ struct Fixture {
 }
 
 fn fixture(n_jobs: u64, running_mask: u64, epochs: &[u32]) -> Fixture {
-    let spec = ClusterSpec::new(2, 4);
+    fixture_on(ClusterSpec::new(2, 4), n_jobs, running_mask, epochs)
+}
+
+fn fixture_on(spec: ClusterSpec, n_jobs: u64, running_mask: u64, epochs: &[u32]) -> Fixture {
     let mut jobs = BTreeMap::new();
     let mut limits = BTreeMap::new();
     let mut betas = BTreeMap::new();
@@ -67,15 +72,16 @@ fn fixture(n_jobs: u64, running_mask: u64, epochs: &[u32]) -> Fixture {
         spec,
         perf: PerfModel::new(spec),
         jobs,
-        deployed: Schedule::empty(GPUS),
+        deployed: Schedule::empty(spec.total_gpus()),
         limits,
         betas,
     }
 }
 
-/// A random (possibly illegal w.r.t. limits) genome over the fixture jobs.
+/// A random (possibly illegal w.r.t. limits) genome over the fixture jobs,
+/// one slot per GPU.
 fn genome(slots: &[Option<(u64, u32)>]) -> Schedule {
-    let mut s = Schedule::empty(GPUS);
+    let mut s = Schedule::empty(slots.len() as u32);
     for (i, slot) in slots.iter().enumerate() {
         if let Some((job, batch)) = slot {
             s.assign(GpuId(i as u32), JobId(*job), (*batch).max(1));
@@ -103,6 +109,152 @@ fn assert_legal(fx: &Fixture, s: &Schedule) -> Result<(), TestCaseError> {
         );
     }
     Ok(())
+}
+
+/// The fill as it stood before the incremental index, kept as the oracle
+/// the production fill must match: every round rebuilds the idle list and
+/// the running-job table from the slots, and recomputes every running
+/// job's utilisation. Probes materialise the trial schedule they describe,
+/// the definition `EvoContext::probe_throughput` is pinned to.
+fn fill_by_rescan(
+    ctx: &EvoContext<'_>,
+    s: &mut Schedule,
+    rng: &mut DetRng,
+    allow_scale_up: bool,
+) -> DirtySet {
+    enum FillAction {
+        Resume(JobId),
+        ScaleUp(JobId, usize),
+    }
+    let probe = |s: &Schedule, job: JobId, gpus: &[GpuId]| {
+        let mut trial = s.clone();
+        trial.evict(job);
+        ctx.assign_evenly(&mut trial, job, gpus);
+        ctx.throughput_in(&trial, job)
+    };
+    let utilisation = |s: &Schedule, job: JobId, rem: f64| {
+        let x = ctx.throughput_in(s, job);
+        if x <= 0.0 {
+            return 0.0;
+        }
+        rem * f64::from(s.gpu_count(job)) / x
+    };
+    let rhos = scoring::sample_rhos(ctx, rng);
+    let mut dirty = DirtySet::new();
+    loop {
+        let idle = s.idle_gpus();
+        if idle.is_empty() {
+            return dirty;
+        }
+        let running = s.running_jobs();
+        let mut best: Option<(f64, FillAction)> = None;
+        for j in ctx.schedulable() {
+            let job = j.id();
+            if running.contains_key(&job) {
+                continue;
+            }
+            let Some(&rho) = rhos.get(&job) else { continue };
+            let x = probe(s, job, &idle[..1]);
+            if x <= 0.0 {
+                continue;
+            }
+            let delta = ctx.remaining_workload(job, rho) / x;
+            if best.as_ref().is_none_or(|(d, _)| delta < *d) {
+                best = Some((delta, FillAction::Resume(job)));
+            }
+        }
+        if let Some((_, FillAction::Resume(job))) = best {
+            ctx.assign_evenly(s, job, &[idle[0]]);
+            dirty.insert(job);
+            continue;
+        }
+        if !allow_scale_up {
+            return dirty;
+        }
+        for (&job, &(batch, gpus)) in &running {
+            let limit = ctx.limit(job);
+            if batch >= limit {
+                continue;
+            }
+            let Some(&rho) = rhos.get(&job) else { continue };
+            let max_extra = ((limit * gpus / batch).saturating_sub(gpus) as usize).min(idle.len());
+            if max_extra == 0 {
+                continue;
+            }
+            let rem = ctx.remaining_workload(job, rho);
+            let before_u = utilisation(s, job, rem);
+            let held: Vec<GpuId> = s.placement(job).gpus().to_vec();
+            let mut extra = 1usize;
+            loop {
+                let mut all = held.clone();
+                all.extend(idle.iter().copied().take(extra));
+                let x = probe(s, job, &all);
+                let after_u = if x <= 0.0 {
+                    0.0
+                } else {
+                    rem * (all.len() as f64) / x
+                };
+                let delta = after_u - before_u;
+                if best.as_ref().is_none_or(|(d, _)| delta < *d) {
+                    best = Some((delta, FillAction::ScaleUp(job, extra)));
+                }
+                if extra == max_extra {
+                    break;
+                }
+                extra = (extra * 2).min(max_extra);
+            }
+        }
+        match best {
+            Some((_, FillAction::Resume(job))) => {
+                ctx.assign_evenly(s, job, &[idle[0]]);
+                dirty.insert(job);
+            }
+            Some((_, FillAction::ScaleUp(job, extra))) => {
+                let mut all: Vec<GpuId> = s.placement(job).gpus().to_vec();
+                all.extend(idle.iter().copied().take(extra));
+                s.evict(job);
+                ctx.assign_evenly(s, job, &all);
+                dirty.insert(job);
+            }
+            None => return dirty,
+        }
+    }
+}
+
+/// Runs the production fill and the oracle on the same genome and seed,
+/// with and without a throughput cache, and asserts identical schedules,
+/// dirty sets and RNG positions afterwards.
+fn assert_fill_matches_oracle(
+    ctx: &EvoContext<'_>,
+    start: &Schedule,
+    seed: u64,
+    allow_scale_up: bool,
+) -> Result<FillStats, TestCaseError> {
+    let mut expect = start.clone();
+    let mut oracle_rng = DetRng::seed(seed);
+    let expect_dirty = fill_by_rescan(ctx, &mut expect, &mut oracle_rng, allow_scale_up);
+    let expect_next = oracle_rng.uniform().to_bits();
+    let cache = ThroughputCache::new();
+    let mut stats = FillStats::default();
+    for c in [*ctx, ctx.with_cache(&cache)] {
+        let mut got = start.clone();
+        let mut rng = DetRng::seed(seed);
+        let mut call = FillStats::default();
+        let dirty = if allow_scale_up {
+            ops::fill_idle(&c, &mut got, &mut rng, &mut call)
+        } else {
+            ops::admit_waiting(&c, &mut got, &mut rng)
+        };
+        prop_assert_eq!(&got, &expect, "schedule diverged from the oracle");
+        prop_assert_eq!(&dirty, &expect_dirty, "dirty set diverged from the oracle");
+        prop_assert_eq!(
+            rng.uniform().to_bits(),
+            expect_next,
+            "fill drew a different number of ρ"
+        );
+        stats = call;
+    }
+    Ok(stats)
 }
 
 proptest! {
@@ -180,7 +332,8 @@ proptest! {
         };
         let ctx = EvoContext::new(&view, &fx.limits, &fx.betas);
         let mut rng = DetRng::seed(seed);
-        let (mutated, _) = ops::mutate(&ctx, &genome(&slots), rate, &mut rng);
+        let (mutated, _) =
+            ops::mutate(&ctx, &genome(&slots), rate, &mut rng, &mut FillStats::default());
         // Mutation fills via resume/scale-up which respect limits; the
         // input genome itself may be over-limit, so only check structure +
         // no phantom/completed jobs here plus memory validity.
@@ -213,5 +366,53 @@ proptest! {
         for member in search.population() {
             assert_legal(&fx, member)?;
         }
+    }
+
+    /// The incremental fill reproduces the rescanning oracle exactly, on
+    /// genomes with idle GPUs, jobs unknown to the view (ids 6 and 7) and
+    /// jobs over their limits, in both scale-up and resume-only modes.
+    #[test]
+    fn fill_matches_rescanning_oracle(
+        slots in proptest::collection::vec(
+            proptest::option::of((0u64..8, 1u32..300)), 16usize),
+        idle_mask in 0u32..(1 << 16),
+        running_mask in 0u64..64,
+        completed in 0u64..8,
+        roomy in 0u64..64,
+        seed in 0u64..1000,
+    ) {
+        let mut fx = fixture_on(ClusterSpec::new(4, 4), 6, running_mask, &[1, 3, 9, 20]);
+        if let Some(st) = fx.jobs.get_mut(&JobId(completed)) {
+            st.phase = JobPhase::Completed;
+        }
+        // Limits above one GPU's memory let a job scale up round after
+        // round instead of reaching its limit in one step.
+        for (job, limit) in &mut fx.limits {
+            if roomy & (1 << job.0) != 0 {
+                *limit = 16_384;
+            }
+        }
+        let view = ClusterView {
+            now: SimTime::from_secs(500.0),
+            spec: &fx.spec,
+            perf: &fx.perf,
+            jobs: &fx.jobs,
+            deployed: &fx.deployed,
+        };
+        let ctx = EvoContext::new(&view, &fx.limits, &fx.betas);
+        // Clear extra GPUs so most cases leave several idle.
+        let slots: Vec<Option<(u64, u32)>> = slots
+            .iter()
+            .enumerate()
+            .map(|(g, slot)| slot.filter(|_| idle_mask & (1 << g) == 0))
+            .collect();
+        let start = genome(&slots);
+        assert_fill_matches_oracle(&ctx, &start, seed, true)?;
+        assert_fill_matches_oracle(&ctx, &start, seed, false)?;
+        // The fully idle and fully busy extremes.
+        assert_fill_matches_oracle(&ctx, &Schedule::empty(16), seed, true)?;
+        let busy = genome(&vec![Some((7, 8)); 16]);
+        let stats = assert_fill_matches_oracle(&ctx, &busy, seed, true)?;
+        prop_assert_eq!(stats, FillStats::default(), "a full schedule needs no round");
     }
 }

@@ -244,6 +244,8 @@ impl Scheduler for OnesScheduler {
             refresh_nanos: c.refresh_nanos,
             derive_nanos: c.derive_nanos,
             score_nanos: c.score_nanos,
+            fill_rounds: c.fill_rounds,
+            fill_probes: c.fill_probes,
         })
     }
 

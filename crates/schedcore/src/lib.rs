@@ -29,7 +29,7 @@ pub mod scheduler;
 pub mod status;
 
 pub use reconcile::{OpKind, PhasePlan, Reconciler, ScalingOp, ScalingPhase, SlotAssign};
-pub use schedule::{DirtySet, JobRun, JobSignature, Schedule, Slot};
+pub use schedule::{DirtySet, JobRun, JobSignature, Schedule, SignatureBuilder, Slot};
 pub use scheduler::{
     ClusterView, ScalingMechanism, SchedEvent, SchedTuning, Scheduler, SchedulerPerfCounters,
 };

@@ -106,7 +106,7 @@ pub struct JobRun {
 /// counts GPUs, distinct nodes (ids ascend, so node changes are
 /// transitions) and contiguous-id runs per node, mirroring
 /// `Placement::nodes_spanned` / `Placement::max_runs_per_node` exactly.
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct ShapeAcc {
     gpus: u32,
     nodes: u32,
@@ -134,13 +134,53 @@ impl ShapeAcc {
         self.last_gpu = gpu;
         self.gpus += 1;
     }
+}
 
-    fn finish(&self, batches: u64) -> JobSignature {
-        JobSignature {
-            placement: JobSignature::placement_shape_hash(self.gpus, self.nodes, self.max_runs),
-            batches,
-            gpus: self.gpus,
+/// Builds one job's [`JobSignature`] from its workers fed in ascending
+/// GPU-id order, without a schedule: the fold [`Schedule::job_signature`]
+/// runs over the slots, exposed so a hypothetical placement (a fill
+/// probe) hashes into the same key space with no allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct SignatureBuilder {
+    shape: ShapeAcc,
+    batches: u64,
+    gpus_per_node: u32,
+}
+
+impl SignatureBuilder {
+    /// An empty signature for a cluster with `gpus_per_node` GPUs per
+    /// node.
+    #[must_use]
+    pub fn new(gpus_per_node: u32) -> Self {
+        SignatureBuilder {
+            shape: ShapeAcc::default(),
+            batches: FNV_OFFSET,
+            gpus_per_node,
         }
+    }
+
+    /// Adds a worker with `local_batch` samples on `gpu`, which must lie
+    /// above every GPU pushed before.
+    #[inline]
+    pub fn push(&mut self, gpu: GpuId, local_batch: u32) {
+        debug_assert!(
+            self.shape.gpus == 0 || gpu.0 > self.shape.last_gpu,
+            "workers must be pushed in ascending GPU-id order"
+        );
+        self.shape.push(gpu.0, self.gpus_per_node);
+        self.batches = fnv_fold(self.batches, u64::from(local_batch));
+    }
+
+    /// The signature of the workers pushed so far; `None` if there are
+    /// none.
+    #[must_use]
+    pub fn finish(&self) -> Option<JobSignature> {
+        let a = &self.shape;
+        (a.gpus > 0).then(|| JobSignature {
+            placement: JobSignature::placement_shape_hash(a.gpus, a.nodes, a.max_runs),
+            batches: self.batches,
+            gpus: a.gpus,
+        })
     }
 }
 
@@ -253,13 +293,42 @@ impl Schedule {
     /// All running jobs with their `(global batch, gpu count)`, sorted by id.
     #[must_use]
     pub fn running_jobs(&self) -> BTreeMap<JobId, (u32, u32)> {
-        let mut map: BTreeMap<JobId, (u32, u32)> = BTreeMap::new();
-        for s in self.slots.iter().flatten() {
-            let e = map.entry(s.job).or_insert((0, 0));
-            e.0 += s.local_batch;
-            e.1 += 1;
+        self.job_totals().into_iter().collect()
+    }
+
+    /// [`Schedule::running_jobs`] as a vector sorted by job id, built
+    /// without a tree.
+    #[must_use]
+    pub fn job_totals(&self) -> Vec<(JobId, (u32, u32))> {
+        self.fold_jobs(|(batch, gpus): &mut (u32, u32), _, slot| {
+            *batch += slot.local_batch;
+            *gpus += 1;
+        })
+    }
+
+    /// Folds every placed worker, in GPU-id order, into its job's
+    /// accumulator (started from `T::default()`), returning the jobs
+    /// sorted by id. One slot walk with one binary search per run of
+    /// equal jobs.
+    pub fn fold_jobs<T: Default>(
+        &self,
+        mut add: impl FnMut(&mut T, GpuId, Slot),
+    ) -> Vec<(JobId, T)> {
+        let mut jobs: Vec<(JobId, T)> = Vec::new();
+        let mut at = 0;
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some(slot) = *slot else { continue };
+            if jobs.get(at).is_none_or(|e| e.0 != slot.job) {
+                at = jobs
+                    .binary_search_by_key(&slot.job, |e| e.0)
+                    .unwrap_or_else(|k| {
+                        jobs.insert(k, (slot.job, T::default()));
+                        k
+                    });
+            }
+            add(&mut jobs[at].1, GpuId(i as u32), slot);
         }
-        map
+        jobs
     }
 
     /// Whether a job holds at least one GPU.
@@ -300,17 +369,13 @@ impl Schedule {
     /// possible in principle but negligible at 2×64 bits.
     #[must_use]
     pub fn job_signature(&self, job: JobId, gpus_per_node: u32) -> Option<JobSignature> {
-        let mut acc = ShapeAcc::default();
-        let mut batches = FNV_OFFSET;
+        let mut sig = SignatureBuilder::new(gpus_per_node);
         for (i, s) in self.slots.iter().enumerate() {
-            if let Some(slot) = s {
-                if slot.job == job {
-                    acc.push(i as u32, gpus_per_node);
-                    batches = fnv_fold(batches, u64::from(slot.local_batch));
-                }
+            if let Some(slot) = s.filter(|sl| sl.job == job) {
+                sig.push(GpuId(i as u32), slot.local_batch);
             }
         }
-        (acc.gpus > 0).then(|| acc.finish(batches))
+        sig.finish()
     }
 
     /// Signatures of every placed job, gathered in a single pass over the
@@ -320,7 +385,7 @@ impl Schedule {
     /// candidate scoring cheaper than re-evaluating the throughput model.
     #[must_use]
     pub fn job_signatures(&self, gpus_per_node: u32) -> BTreeMap<JobId, JobSignature> {
-        let mut map: BTreeMap<JobId, (ShapeAcc, u64)> = BTreeMap::new();
+        let mut map: BTreeMap<JobId, SignatureBuilder> = BTreeMap::new();
         // Fold contiguous runs of the same job with a single map lookup:
         // reordered schedules pack each job's workers together, so this
         // is ~one lookup per job. The fold itself still walks slots in
@@ -332,20 +397,19 @@ impl Schedule {
                 i += 1;
                 continue;
             };
-            let e = map
+            let sig = map
                 .entry(first.job)
-                .or_insert((ShapeAcc::default(), FNV_OFFSET));
+                .or_insert_with(|| SignatureBuilder::new(gpus_per_node));
             while let Some(Some(slot)) = self.slots.get(i) {
                 if slot.job != first.job {
                     break;
                 }
-                e.0.push(i as u32, gpus_per_node);
-                e.1 = fnv_fold(e.1, u64::from(slot.local_batch));
+                sig.push(GpuId(i as u32), slot.local_batch);
                 i += 1;
             }
         }
         map.into_iter()
-            .map(|(job, (acc, batches))| (job, acc.finish(batches)))
+            .filter_map(|(job, sig)| Some((job, sig.finish()?)))
             .collect()
     }
 
@@ -363,26 +427,40 @@ impl Schedule {
     /// signature in `O(len_j)` without re-walking the whole schedule.
     #[must_use]
     pub fn reordered_with_layout(&self) -> (Schedule, Vec<JobRun>) {
-        let mut order: Vec<JobId> = Vec::new();
-        for s in self.slots.iter().flatten() {
-            if !order.contains(&s.job) {
-                order.push(s.job);
-            }
+        // Pass 1: each job's rank in first-occurrence order and its
+        // worker count, one map lookup per run of equal jobs; every slot
+        // remembers its job's rank so pass 2 needs no lookup at all.
+        let mut rank_of: BTreeMap<JobId, usize> = BTreeMap::new();
+        let mut layout: Vec<JobRun> = Vec::new();
+        let mut ranks: Vec<usize> = Vec::with_capacity(self.slots.len());
+        let mut prev: Option<(JobId, usize)> = None;
+        for slot in self.slots.iter().flatten() {
+            let rank = match prev {
+                Some((job, rank)) if job == slot.job => rank,
+                _ => *rank_of.entry(slot.job).or_insert_with(|| {
+                    layout.push(JobRun {
+                        job: slot.job,
+                        start: 0,
+                        len: 0,
+                    });
+                    layout.len() - 1
+                }),
+            };
+            layout[rank].len += 1;
+            ranks.push(rank);
+            prev = Some((slot.job, rank));
         }
+        let mut next = 0;
+        for run in &mut layout {
+            run.start = next;
+            next += run.len;
+        }
+        // Pass 2: every worker moves to its job's block, in slot order.
+        let mut fill: Vec<u32> = layout.iter().map(|run| run.start).collect();
         let mut out = Schedule::empty(self.num_gpus());
-        let mut layout = Vec::with_capacity(order.len());
-        let mut next = 0usize;
-        for job in order {
-            let start = next as u32;
-            for s in self.slots.iter().flatten().filter(|s| s.job == job) {
-                out.slots[next] = Some(*s);
-                next += 1;
-            }
-            layout.push(JobRun {
-                job,
-                start,
-                len: next as u32 - start,
-            });
+        for (slot, rank) in self.slots.iter().flatten().zip(ranks) {
+            out.slots[fill[rank] as usize] = Some(*slot);
+            fill[rank] += 1;
         }
         (out, layout)
     }
@@ -482,6 +560,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn j(n: u64) -> JobId {
         JobId(n)
@@ -729,6 +808,91 @@ mod tests {
                 JobSignature::contiguous_shape_hash(start, len, GPN),
                 "contiguous fast path diverges for start={start} len={len}"
             );
+        }
+    }
+
+    /// The reorder before it became one pass: first-occurrence order by
+    /// `contains`, then one slot walk per job.
+    fn reordered_by_rescan(s: &Schedule) -> (Schedule, Vec<JobRun>) {
+        let mut order: Vec<JobId> = Vec::new();
+        for slot in s.slots.iter().flatten() {
+            if !order.contains(&slot.job) {
+                order.push(slot.job);
+            }
+        }
+        let mut out = Schedule::empty(s.num_gpus());
+        let mut layout = Vec::new();
+        let mut next = 0usize;
+        for job in order {
+            let start = next as u32;
+            for slot in s.slots.iter().flatten().filter(|sl| sl.job == job) {
+                out.slots[next] = Some(*slot);
+                next += 1;
+            }
+            layout.push(JobRun {
+                job,
+                start,
+                len: next as u32 - start,
+            });
+        }
+        (out, layout)
+    }
+
+    fn genome(slots: &[Option<(u64, u32)>]) -> Schedule {
+        let mut s = Schedule::empty(slots.len() as u32);
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some((job, batch)) = *slot {
+                s.assign(GpuId(i as u32), j(job), batch);
+            }
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one-pass reorder packs exactly as the rescanning one did.
+        #[test]
+        fn one_pass_reorder_matches_rescan(
+            slots in proptest::collection::vec(
+                proptest::option::of((0u64..7, 1u32..64)), 1..40usize),
+        ) {
+            let s = genome(&slots);
+            prop_assert_eq!(s.reordered_with_layout(), reordered_by_rescan(&s));
+        }
+
+        /// Job totals agree with per-job queries and come sorted by id.
+        #[test]
+        fn job_totals_match_per_job_queries(
+            slots in proptest::collection::vec(
+                proptest::option::of((0u64..7, 1u32..64)), 1..40usize),
+        ) {
+            let s = genome(&slots);
+            let totals = s.job_totals();
+            prop_assert!(totals.windows(2).all(|w| w[0].0 < w[1].0));
+            for &(job, (batch, gpus)) in &totals {
+                prop_assert_eq!(batch, s.global_batch(job));
+                prop_assert_eq!(gpus, s.gpu_count(job));
+            }
+            prop_assert_eq!(totals.len(), s.running_jobs().len());
+        }
+
+        /// A signature built from a sorted worker list equals the one
+        /// the schedule walk folds for the same placement.
+        #[test]
+        fn signature_builder_matches_job_signature(
+            workers in proptest::collection::vec(proptest::option::of(1u32..512), 32usize),
+            gpn in 1u32..9,
+        ) {
+            let mut s = Schedule::empty(32);
+            let mut sig = SignatureBuilder::new(gpn);
+            for (g, b) in workers.iter().enumerate() {
+                if let Some(b) = *b {
+                    s.assign(GpuId(g as u32), j(1), b);
+                    sig.push(GpuId(g as u32), b);
+                }
+            }
+            prop_assert_eq!(sig.finish(), s.job_signature(j(1), gpn));
         }
     }
 

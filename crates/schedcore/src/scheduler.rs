@@ -138,6 +138,10 @@ pub struct SchedulerPerfCounters {
     pub derive_nanos: u64,
     /// Host wall time scoring and selecting, nanoseconds.
     pub score_nanos: u64,
+    /// Fill selection rounds run while deriving candidates.
+    pub fill_rounds: u64,
+    /// Placements probed by those fill rounds.
+    pub fill_probes: u64,
 }
 
 impl SchedulerPerfCounters {

@@ -265,6 +265,8 @@ fn main() {
                 "cache_warm_hit_rate": p.warm_hit_rate(),
                 "cache_duplicate_computes": p.cache_duplicate_computes,
                 "cache_invalidations": p.cache_invalidations,
+                "fill_rounds": p.fill_rounds,
+                "fill_probes": p.fill_probes,
                 "refresh_ms": p.refresh_nanos as f64 / 1e6,
                 "derive_ms": p.derive_nanos as f64 / 1e6,
                 "score_ms": p.score_nanos as f64 / 1e6,
@@ -320,8 +322,9 @@ fn main() {
         );
         if let Some(p) = result.scheduler_perf {
             println!(
-                "  search             {} generations, {} candidates scored",
-                p.generations, p.candidates_scored
+                "  search             {} generations, {} candidates scored, \
+                 {} fill rounds ({} probes)",
+                p.generations, p.candidates_scored, p.fill_rounds, p.fill_probes
             );
             println!(
                 "  throughput cache   {:>9.1}% hit rate ({} hits / {} misses, \

@@ -45,6 +45,8 @@ fn trace_out_emits_spans_from_four_crates() {
     let perf = report.get("scheduler_perf").expect("scheduler_perf");
     assert!(perf.get("cache_hit_rate").and_then(Value::as_f64).is_some());
     assert!(perf.get("derive_ms").and_then(Value::as_f64).is_some());
+    assert!(perf.get("fill_rounds").and_then(Value::as_u64).unwrap() > 0);
+    assert!(perf.get("fill_probes").and_then(Value::as_u64).unwrap() > 0);
 
     let trace: Value =
         serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap()).expect("valid JSON");

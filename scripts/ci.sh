@@ -3,8 +3,10 @@
 # workspace crate, then end-to-end smoke runs.
 #
 #   scripts/ci.sh              # workspace build, workspace tests,
-#                              # ones-lint, workspace clippy, fmt,
-#                              # trace-replay and daemon smoke
+#                              # the benchmark's build and tests
+#                              # (perfbench/), ones-lint, workspace
+#                              # clippy, fmt, trace-replay and daemon
+#                              # smoke
 #   RUN_LOOM=1 scripts/ci.sh   # also model-check the loom tests in
 #                              # crates/{evo,obs,oned}/tests/loom_*.rs
 #                              # under RUSTFLAGS="--cfg ones_loom"
@@ -34,6 +36,11 @@ cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (the benchmark)"
+# perfbench is a workspace of its own that builds the crates by path, so a
+# program API change that breaks the benchmark fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> ones-lint (concurrency & determinism rules; lint.allow for exceptions)"
 cargo run -q --release -p ones-lint
