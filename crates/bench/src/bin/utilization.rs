@@ -74,10 +74,28 @@ fn main() {
             tl.peak_waiting()
         );
     }
+    // The reading names each column's leader, so it can only say what
+    // the rows above show.
+    let busiest = rows
+        .iter()
+        .max_by(|a, b| a.1.gpu_utilization().total_cmp(&b.1.gpu_utilization()))
+        .expect("at least one scheduler");
+    let quickest = rows
+        .iter()
+        .min_by(|a, b| a.1.makespan.total_cmp(&b.1.makespan))
+        .expect("at least one scheduler");
+    let least_queued = rows
+        .iter()
+        .min_by_key(|r| r.2.peak_waiting())
+        .expect("at least one scheduler");
     println!(
-        "\nReading: elastic admission lets ONES keep the cluster saturated\n\
-         while the trace is backlogged and finish (smaller makespan) without\n\
-         long waiting queues; gang-scheduled fixed sizes leave fragmentation\n\
-         holes."
+        "\nReading: highest mean busy fraction {} ({:.1}%), shortest makespan {} \
+         ({:.0} s), smallest peak waiting queue {} ({} waiting).",
+        busiest.0.name(),
+        100.0 * busiest.1.gpu_utilization(),
+        quickest.0.name(),
+        quickest.1.makespan,
+        least_queued.0.name(),
+        least_queued.2.peak_waiting(),
     );
 }

@@ -1,11 +1,11 @@
 //! A small local micro-benchmark harness.
 //!
 //! Replaces criterion (unavailable in this offline build — see
-//! `shims/README.md`) for the `harness = false` benches under
-//! `benches/`. The model is deliberately simple: a measurement runs the
-//! closure in batches sized so one batch takes at least
-//! [`BenchOpts::target_sample_nanos`], records per-iteration wall time
-//! for [`BenchOpts::samples`] batches after warm-up, and reports
+//! `shims/README.md`) for the `harness = false` observability overhead
+//! bench under `benches/`. The model is deliberately simple: a
+//! measurement runs the closure in batches sized so one batch takes at
+//! least [`BenchOpts::target_sample_nanos`], records per-iteration wall
+//! time for [`BenchOpts::samples`] batches after warm-up, and reports
 //! min/median/mean nanoseconds.
 
 use std::time::Instant;
@@ -20,28 +20,6 @@ pub struct BenchOpts {
     pub target_sample_nanos: u64,
     /// Warm-up batches discarded before measurement.
     pub warmup: u32,
-}
-
-impl Default for BenchOpts {
-    fn default() -> Self {
-        BenchOpts {
-            samples: 12,
-            target_sample_nanos: 20_000_000,
-            warmup: 2,
-        }
-    }
-}
-
-impl BenchOpts {
-    /// A faster profile for expensive (multi-millisecond) operations.
-    #[must_use]
-    pub fn coarse() -> Self {
-        BenchOpts {
-            samples: 8,
-            target_sample_nanos: 50_000_000,
-            warmup: 1,
-        }
-    }
 }
 
 /// Result of one benchmark: per-iteration nanoseconds for every
@@ -106,11 +84,6 @@ pub fn fmt_ns(ns: f64) -> String {
     } else {
         format!("{:.3} s", ns / 1e9)
     }
-}
-
-/// Runs `f` under the default options.
-pub fn bench<T>(label: &str, f: impl FnMut() -> T) -> Measurement {
-    bench_with(BenchOpts::default(), label, f)
 }
 
 /// Runs `f` repeatedly and measures per-iteration wall time.

@@ -15,9 +15,10 @@
 //!
 //! Each binary accepts `--seed N`, `--jobs N` and (where applicable)
 //! `--gpus N`, and prints the same rows/series the paper plots.
-//! Micro-benches for the scheduler's hot paths live under `benches/`,
-//! built on the local [`harness`] module (criterion is unavailable in
-//! this offline build — see `shims/README.md`).
+//! The one bench under `benches/` holds the observability overhead
+//! budget, built on the local [`harness`] module (criterion is
+//! unavailable in this offline build — see `shims/README.md`);
+//! performance is otherwise measured by `perfbench/`.
 
 pub mod harness;
 

@@ -294,6 +294,7 @@ pub(crate) mod testutil {
     use ones_schedcore::{JobPhase, JobStatus};
     use ones_simcore::SimTime;
     use ones_workload::JobSpec;
+    use proptest::prelude::*;
 
     /// A self-owned bundle from which an `EvoContext` can be borrowed.
     pub struct Fixture {
@@ -310,42 +311,65 @@ pub(crate) mod testutil {
         /// Jobs with even ids are running-eligible; all start Waiting.
         pub fn new(n_jobs: u64) -> Fixture {
             let spec = ClusterSpec::new(2, 4);
-            let perf = PerfModel::new(spec);
-            let mut jobs = BTreeMap::new();
-            let mut limits = BTreeMap::new();
-            let mut betas = BTreeMap::new();
-            for i in 0..n_jobs {
-                let js = JobSpec {
-                    id: JobId(i),
-                    name: format!("j{i}"),
-                    model: ModelKind::ResNet18,
-                    dataset: DatasetKind::Cifar10,
-                    dataset_size: 20_000,
-                    submit_batch: 256,
-                    max_safe_batch: 4096,
-                    requested_gpus: 1,
-                    arrival_secs: i as f64,
-                    kill_after_secs: None,
-                    convergence: ConvergenceModel {
-                        reference_batch: 256,
-                        ..ConvergenceModel::example()
-                    },
-                };
-                jobs.insert(
-                    JobId(i),
-                    JobStatus::submitted(js, SimTime::from_secs(i as f64)),
-                );
-                limits.insert(JobId(i), 256);
-                betas.insert(JobId(i), Beta::new(2.0, 20.0));
-            }
-            Fixture {
+            let mut fx = Fixture {
                 spec,
-                perf,
-                jobs,
+                perf: PerfModel::new(spec),
+                jobs: BTreeMap::new(),
                 deployed: Schedule::empty(8),
-                limits,
-                betas,
+                limits: BTreeMap::new(),
+                betas: BTreeMap::new(),
+            };
+            for i in 0..n_jobs {
+                fx.submit(i, ModelKind::ResNet18);
             }
+            fx
+        }
+
+        /// A varied live state for property tests: job `i` runs (with
+        /// `epochs[i % epochs.len()]` epochs done) when bit `i` of
+        /// `running_mask` is set, and limits and Beta predictions differ
+        /// from job to job.
+        pub fn varied(n_jobs: u64, running_mask: u64, epochs: &[u32]) -> Fixture {
+            let mut fx = Fixture::new(n_jobs);
+            for i in 0..n_jobs {
+                if running_mask & (1 << i) != 0 {
+                    fx.start_job(i, epochs[i as usize % epochs.len()]);
+                }
+                fx.limits.insert(JobId(i), 256 << (i % 4));
+                fx.betas.insert(
+                    JobId(i),
+                    Beta::new(1.0 + (i % 7) as f64, 3.0 + (i % 11) as f64),
+                );
+            }
+            fx
+        }
+
+        /// Submits a fresh `model`/CIFAR10 job under `id` — a new arrival,
+        /// or a resubmission that recycles a finished job's id — with
+        /// limit 256 and a default Beta prediction.
+        pub fn submit(&mut self, id: u64, model: ModelKind) {
+            let js = JobSpec {
+                id: JobId(id),
+                name: format!("j{id}"),
+                model,
+                dataset: DatasetKind::Cifar10,
+                dataset_size: 20_000,
+                submit_batch: 256,
+                max_safe_batch: 4096,
+                requested_gpus: 1,
+                arrival_secs: id as f64,
+                kill_after_secs: None,
+                convergence: ConvergenceModel {
+                    reference_batch: 256,
+                    ..ConvergenceModel::example()
+                },
+            };
+            self.jobs.insert(
+                JobId(id),
+                JobStatus::submitted(js, SimTime::from_secs(id as f64)),
+            );
+            self.limits.insert(JobId(id), 256);
+            self.betas.insert(JobId(id), Beta::new(2.0, 20.0));
         }
 
         /// Marks a job as running with some accumulated progress.
@@ -373,6 +397,45 @@ pub(crate) mod testutil {
     /// Borrows an `EvoContext` from a fixture and a view.
     pub fn ctx<'a>(fx: &'a Fixture, view: &'a ClusterView<'a>) -> EvoContext<'a> {
         EvoContext::new(view, &fx.limits, &fx.betas)
+    }
+
+    /// A genome over the fixture's 8 GPUs, one optional `(job, local
+    /// batch)` per slot (possibly illegal w.r.t. limits and memory).
+    pub fn genome(slots: &[Option<(u64, u32)>]) -> Schedule {
+        let mut s = Schedule::empty(8);
+        for (i, slot) in slots.iter().enumerate() {
+            if let Some((job, batch)) = slot {
+                s.assign(GpuId(i as u32), JobId(*job), (*batch).max(1));
+            }
+        }
+        s
+    }
+
+    /// Asserts a derived card is bit-identical to a from-scratch
+    /// [`ScoreCard::build`](crate::ScoreCard::build), entry by entry
+    /// (jobs, signatures, and the `u` factors' exact bits).
+    pub fn assert_card_matches_full(
+        ctx: &EvoContext<'_>,
+        child: &Schedule,
+        derived: &crate::ScoreCard,
+    ) -> Result<(), TestCaseError> {
+        let full = crate::ScoreCard::build(ctx, child);
+        prop_assert_eq!(derived.len(), full.len(), "card covers wrong job set");
+        for (d, f) in derived.entries().iter().zip(full.entries()) {
+            prop_assert_eq!(d.job, f.job);
+            prop_assert_eq!(d.placement, f.placement, "{}: placement hash", d.job);
+            prop_assert_eq!(d.batches, f.batches, "{}: batches hash", d.job);
+            prop_assert_eq!(d.gpus, f.gpus, "{}: gpu count", d.job);
+            prop_assert_eq!(
+                d.u.to_bits(),
+                f.u.to_bits(),
+                "{}: u factor diverged ({} vs {})",
+                d.job,
+                d.u,
+                f.u
+            );
+        }
+        Ok(())
     }
 }
 

@@ -21,19 +21,19 @@
 //!   `S_*`.
 //!
 //! Candidate derivation (crossover, mutation and legalisation) and the
-//! refresh of every member run on rayon whenever the search's
-//! `parallel_derive` is set, with no population-size threshold; scoring
-//! is a sequential merge of score cards.
+//! refresh of every member always run on rayon, with no population-size
+//! threshold; scoring is a sequential merge of score cards.
 //!
-//! Three transparent accelerations ride along (see [`cache`] and the
-//! determinism notes in [`search`]): a search-scoped [`ThroughputCache`]
-//! memoising the pure `(job, placement shape, batches) → X_j` evaluations
-//! across generations (with per-job invalidation on job events), parallel
-//! candidate derivation on per-child forked RNG streams, and delta
-//! scoring — every op reports the jobs it touched, and each candidate's
-//! [`scoring::ScoreCard`] is derived from its parent's by re-resolving
-//! only those. All are exact — `S_*` selection is bit-identical with them
-//! on or off — and all are observable through [`EvoPerfCounters`].
+//! Three exact accelerations make up the one scoring path (see [`cache`]
+//! and the determinism notes in [`search`]): a search-scoped
+//! [`ThroughputCache`] memoising the pure `(job, placement shape,
+//! batches) → X_j` evaluations across generations (with per-job
+//! invalidation on job events), parallel candidate derivation on
+//! per-child forked RNG streams, and delta scoring — every op reports the
+//! jobs it touched, and each candidate's [`scoring::ScoreCard`] is derived
+//! from its parent's by re-resolving only those. The test suite checks
+//! every stored card against a from-scratch, uncached rescore; the work
+//! saved is observable through [`EvoPerfCounters`].
 
 pub mod cache;
 pub mod context;

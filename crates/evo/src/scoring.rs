@@ -135,7 +135,7 @@ pub struct CardEntry {
 /// the job's configuration does. A card outlives its generation: the
 /// search keeps each population member's card and derives children's
 /// cards from their parents', recomputing only dirty jobs.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoreCard {
     entries: Vec<CardEntry>,
 }
@@ -375,68 +375,12 @@ fn resolve_throughput_run(
     }
 }
 
-/// Algorithm 1: scores every candidate against one shared ρ-sample and
-/// returns the index of the best (smallest-score) candidate.
-///
-/// Ties break to the lowest index, so a deterministic candidate order
-/// yields a deterministic selection. NaN scores never panic and never
-/// win: [`argmin`] ranks them after every real score.
-///
-/// # Panics
-/// Panics if `candidates` is empty.
-#[must_use]
-pub fn select_best(ctx: &EvoContext<'_>, candidates: &[Schedule], rng: &mut DetRng) -> usize {
-    assert!(!candidates.is_empty(), "Algorithm 1 needs candidates");
-    let rhos = sample_rhos(ctx, rng);
-    let scores = score_all(ctx, candidates, &rhos);
-    argmin(&scores).expect("non-empty candidates")
-}
-
-/// Index of the smallest score under [`f64::total_cmp`], first of equal
-/// minima. `total_cmp` orders every NaN above (for the NaN bit patterns
-/// produced by arithmetic) every finite value, so a NaN score loses to
-/// any real score instead of poisoning the comparison.
-#[must_use]
-pub fn argmin(scores: &[f64]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, s) in scores.iter().enumerate() {
-        match best {
-            None => best = Some(i),
-            Some(b) if s.total_cmp(&scores[b]) == std::cmp::Ordering::Less => best = Some(i),
-            Some(_) => {}
-        }
-    }
-    best
-}
-
-/// Scores all candidates with a shared ρ-sample, in parallel for large
-/// populations (the scheduler's hot loop; see the hpc guides on
-/// `par_iter`).
-#[must_use]
-pub fn score_all(
-    ctx: &EvoContext<'_>,
-    candidates: &[Schedule],
-    rhos: &BTreeMap<JobId, f64>,
-) -> Vec<f64> {
-    use rayon::prelude::*;
-    if candidates.len() >= 32 {
-        candidates
-            .par_iter()
-            .map(|s| score_schedule(ctx, s, rhos))
-            .collect()
-    } else {
-        candidates
-            .iter()
-            .map(|s| score_schedule(ctx, s, rhos))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::testutil::*;
     use ones_cluster::GpuId;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_schedule_scores_zero() {
@@ -489,34 +433,6 @@ mod tests {
     }
 
     #[test]
-    fn select_best_picks_lowest_score() {
-        let mut fx = Fixture::new(2);
-        fx.start_job(0, 30);
-        fx.start_job(1, 30);
-        fx.betas
-            .insert(ones_workload::JobId(0), ones_stats::Beta::new(50.0, 1.0));
-        fx.betas
-            .insert(ones_workload::JobId(1), ones_stats::Beta::new(1.0, 50.0));
-        let view = fx.view();
-        let c = ctx(&fx, &view);
-
-        let mut near = Schedule::empty(8);
-        near.assign(GpuId(0), ones_workload::JobId(0), 256);
-        let mut fresh = Schedule::empty(8);
-        fresh.assign(GpuId(0), ones_workload::JobId(1), 256);
-
-        // The near-complete-job schedule should win under almost any sample.
-        let mut wins = 0;
-        for seed in 0..20 {
-            let mut rng = DetRng::seed(seed);
-            if select_best(&c, &[fresh.clone(), near.clone()], &mut rng) == 1 {
-                wins += 1;
-            }
-        }
-        assert!(wins >= 16, "near-complete won only {wins}/20");
-    }
-
-    #[test]
     fn more_gpus_for_same_job_can_cost_more_utilisation() {
         // SRUF (vs SRPT) exists because T·c grows when extra GPUs give
         // sub-linear speedup. An 8-GPU (2-node) allocation must score worse
@@ -542,66 +458,6 @@ mod tests {
             s8 > s1,
             "8 GPUs at fixed batch should waste utilisation: s1={s1}, s8={s8}"
         );
-    }
-
-    #[test]
-    fn argmin_ranks_nan_last_and_breaks_ties_low() {
-        assert_eq!(argmin(&[]), None);
-        assert_eq!(argmin(&[f64::NAN]), Some(0));
-        assert_eq!(argmin(&[f64::NAN, 1.0, 0.5]), Some(2));
-        assert_eq!(argmin(&[f64::INFINITY, f64::NAN]), Some(0));
-        // First of equal minima wins.
-        assert_eq!(argmin(&[2.0, 1.0, 1.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[0.0, 0.0, 0.0]), Some(0));
-    }
-
-    #[test]
-    fn identical_candidates_tie_to_lowest_index() {
-        let mut fx = Fixture::new(2);
-        fx.start_job(0, 10);
-        let view = fx.view();
-        let c = ctx(&fx, &view);
-        let mut s = Schedule::empty(8);
-        s.assign(GpuId(0), ones_workload::JobId(0), 256);
-        let clones = vec![s.clone(), s.clone(), s.clone(), s];
-        for seed in 0..10 {
-            let mut rng = DetRng::seed(seed);
-            assert_eq!(select_best(&c, &clones, &mut rng), 0);
-        }
-    }
-
-    #[test]
-    fn nan_throughput_candidate_loses_without_panicking() {
-        // Regression: selection used to unwrap partial_cmp and panicked
-        // the scheduler on any NaN score. Inject a NaN throughput via the
-        // memo table (the perf model never returns NaN for legal input).
-        let mut fx = Fixture::new(2);
-        fx.start_job(0, 5);
-        fx.start_job(1, 5);
-        let view = fx.view();
-        let cache = crate::cache::ThroughputCache::new();
-        let c = ctx(&fx, &view).with_cache(&cache);
-
-        let mut healthy = Schedule::empty(8);
-        healthy.assign(GpuId(0), ones_workload::JobId(0), 256);
-        let mut poisoned = Schedule::empty(8);
-        poisoned.assign(GpuId(0), ones_workload::JobId(1), 256);
-        let sig = poisoned
-            .job_signature(ones_workload::JobId(1), c.gpus_per_node())
-            .unwrap();
-        cache.get_or_insert_with(
-            (ones_workload::JobId(1), sig.placement, sig.batches),
-            || f64::NAN,
-        );
-
-        for seed in 0..10 {
-            let mut rng = DetRng::seed(seed);
-            assert_eq!(
-                select_best(&c, &[poisoned.clone(), healthy.clone()], &mut rng),
-                1,
-                "NaN-scored candidate must lose"
-            );
-        }
     }
 
     #[test]
@@ -637,31 +493,110 @@ mod tests {
             s_starved > s_healthy * 1.0e6,
             "starved candidate must be crushed: {s_starved} vs {s_healthy}"
         );
-        assert_eq!(argmin(&[s_starved, s_healthy]), Some(1));
     }
 
-    #[test]
-    fn score_all_matches_sequential() {
-        let mut fx = Fixture::new(4);
-        for i in 0..4 {
-            fx.start_job(i, 5);
-        }
-        let view = fx.view();
-        let c = ctx(&fx, &view);
-        let mut rng = DetRng::seed(11);
-        let rhos = sample_rhos(&c, &mut rng);
-        // 40 candidates to exercise the parallel path.
-        let mut candidates = Vec::new();
-        for k in 0..40u32 {
-            let mut s = Schedule::empty(8);
-            s.assign(GpuId(k % 8), ones_workload::JobId(u64::from(k % 4)), 128);
-            candidates.push(s);
-        }
-        let par = score_all(&c, &candidates, &rhos);
-        let seq: Vec<f64> = candidates
+    /// The full-rescore oracle: every candidate scored from scratch by
+    /// [`score_schedule`] against one shared ρ-sample.
+    fn score_all(
+        ctx: &EvoContext<'_>,
+        candidates: &[Schedule],
+        rhos: &BTreeMap<JobId, f64>,
+    ) -> Vec<f64> {
+        candidates
             .iter()
-            .map(|s| score_schedule(&c, s, &rhos))
-            .collect();
-        assert_eq!(par, seq);
+            .map(|s| score_schedule(ctx, s, rhos))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Scoring through a shared [`ThroughputCache`] returns exactly the
+        /// scores uncached evaluation produces, for arbitrary candidate
+        /// pools — the cache key (job + placement/batch signature) never
+        /// aliases distinct configurations.
+        #[test]
+        fn cached_scoring_matches_uncached(
+            pool in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::option::of((0u64..6, 1u32..2048)), 8),
+                1..12),
+            running_mask in 0u64..64,
+            seed in 0u64..1000,
+        ) {
+            let fx = Fixture::varied(6, running_mask, &[1, 4, 9]);
+            let view = fx.view();
+            let c = ctx(&fx, &view);
+            let cache = crate::cache::ThroughputCache::new();
+            let cached = c.with_cache(&cache);
+            let candidates: Vec<Schedule> = pool.iter().map(|s| genome(s)).collect();
+            let rhos = sample_rhos(&c, &mut DetRng::seed(seed));
+
+            let plain = score_all(&c, &candidates, &rhos);
+            // Score twice through the cache: the first pass populates it,
+            // the second is served mostly by hits — both must match
+            // bit-for-bit.
+            let first = score_all(&cached, &candidates, &rhos);
+            let second = score_all(&cached, &candidates, &rhos);
+            prop_assert_eq!(&plain, &first);
+            prop_assert_eq!(&plain, &second);
+        }
+
+        /// Delta-derived score cards are bit-identical to full rebuilds for
+        /// every op kind (refresh, crossover — both children —, mutation,
+        /// direct fill, and the reorder layout fast path), for arbitrary
+        /// genomes and live state.
+        #[test]
+        fn delta_cards_match_full_rescore_for_every_op(
+            a_slots in proptest::collection::vec(
+                proptest::option::of((0u64..6, 1u32..2048)), 8),
+            b_slots in proptest::collection::vec(
+                proptest::option::of((0u64..6, 1u32..2048)), 8),
+            running_mask in 0u64..64,
+            rate in 0.0f64..1.0,
+            seed in 0u64..1000,
+        ) {
+            use crate::ops;
+            let fx = Fixture::varied(6, running_mask, &[1, 3, 9]);
+            let view = fx.view();
+            let cache = crate::cache::ThroughputCache::new();
+            let c = ctx(&fx, &view).with_cache(&cache);
+            let a = genome(&a_slots);
+            let b = genome(&b_slots);
+            let card_a = ScoreCard::build(&c, &a);
+            let card_b = ScoreCard::build(&c, &b);
+            let no_dirty = DirtySet::new();
+            let mut rng = DetRng::seed(seed);
+
+            // refresh, then the reorder layout path on its output.
+            let (r, rdirty) = ops::refresh(&c, &a, &mut rng);
+            let derived = ScoreCard::derive(&c, &r, &card_a, &rdirty, None);
+            assert_card_matches_full(&c, &r, &derived)?;
+            let (packed, layout) = r.reordered_with_layout();
+            let derived_packed = ScoreCard::derive(&c, &packed, &derived, &no_dirty, Some(&layout));
+            assert_card_matches_full(&c, &packed, &derived_packed)?;
+
+            // crossover: one dirty set serves both children's derivations.
+            let (c1, c2, xdirty) = ops::crossover(&a, &b, &mut rng);
+            let d1 = ScoreCard::derive(&c, &c1, &card_a, &xdirty, None);
+            assert_card_matches_full(&c, &c1, &d1)?;
+            let d2 = ScoreCard::derive(&c, &c2, &card_b, &xdirty, None);
+            assert_card_matches_full(&c, &c2, &d2)?;
+
+            // mutate (preempt + refill), then reorder on top — the search's
+            // real derive pipeline for a mutant.
+            let (m, mdirty) = ops::mutate(&c, &a, rate, &mut rng, &mut ops::FillStats::default());
+            let dm = ScoreCard::derive(&c, &m, &card_a, &mdirty, None);
+            assert_card_matches_full(&c, &m, &dm)?;
+            let (mp, mlayout) = m.reordered_with_layout();
+            let dmp = ScoreCard::derive(&c, &mp, &dm, &no_dirty, Some(&mlayout));
+            assert_card_matches_full(&c, &mp, &dmp)?;
+
+            // fill_idle applied in place.
+            let mut f = a.clone();
+            let fdirty = ops::fill_idle(&c, &mut f, &mut rng, &mut ops::FillStats::default());
+            let df = ScoreCard::derive(&c, &f, &card_a, &fdirty, None);
+            assert_card_matches_full(&c, &f, &df)?;
+        }
     }
 }

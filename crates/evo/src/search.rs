@@ -26,10 +26,10 @@
 //!
 //! Children are indexed in a fixed documented order: the two crossover
 //! children of pair *p* are `2p` and `2p+1`, mutant *m* is
-//! `2·crossover_pairs + m`. Because no stream is shared, executing the
-//! work sequentially or across threads is bit-identical — verified by
-//! `parallel_matches_sequential` below and the property tests in
-//! `tests/determinism_props.rs`.
+//! `2·crossover_pairs + m`. Because no stream is shared, the result does
+//! not depend on how the work is spread across threads — two same-seed
+//! searches agree on every schedule and counter
+//! (`deterministic_for_fixed_seed` below).
 
 use crate::cache::ThroughputCache;
 use crate::context::EvoContext;
@@ -40,6 +40,7 @@ use ones_schedcore::{DirtySet, JobRun, Schedule};
 use ones_simcore::DetRng;
 use ones_sync::Arc;
 use ones_workload::JobId;
+use rayon::prelude::*;
 use std::time::Instant;
 
 /// Evolutionary search tunables.
@@ -56,18 +57,6 @@ pub struct EvoConfig {
     /// Apply the *reorder* operation (Figure 10) to derived candidates.
     /// Disabled only by the ablation harness.
     pub reorder: bool,
-    /// Derive candidates across threads (see the module docs on
-    /// determinism; results are bit-identical either way).
-    pub parallel_derive: bool,
-    /// Memoise throughput evaluations in the search-scoped
-    /// [`ThroughputCache`] (entries survive across generations; job
-    /// events invalidate per-job). Exact — scores are unchanged.
-    pub use_cache: bool,
-    /// Score candidates by deriving per-job [`ScoreCard`]s from their
-    /// parents' (only op-touched jobs re-resolve throughput) instead of
-    /// rescoring every job of every candidate. Exact — bit-identical to
-    /// the full rescore (see `tests/determinism_props.rs`).
-    pub delta_score: bool,
 }
 
 impl EvoConfig {
@@ -79,27 +68,7 @@ impl EvoConfig {
             mutation_rate: 0.2,
             crossover_pairs: gpus as usize,
             reorder: true,
-            parallel_derive: true,
-            use_cache: true,
-            delta_score: true,
         }
-    }
-}
-
-/// Maps `f` over `items`, across threads when `parallel` (order is
-/// preserved either way, and `f` draws no shared state, so the results
-/// are identical).
-fn map_maybe_parallel<T, U, F>(parallel: bool, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    if parallel {
-        use rayon::prelude::*;
-        items.par_iter().map(f).collect()
-    } else {
-        items.iter().map(f).collect()
     }
 }
 
@@ -126,13 +95,24 @@ fn legalise(
     }
 }
 
+/// Pool indices ranked best-first by score (Algorithm 1: smallest
+/// wins). The sort is stable under [`f64::total_cmp`], so equal scores
+/// keep pool order and the lowest-index candidate wins ties
+/// deterministically, and NaN scores sort after every real score instead
+/// of panicking.
+fn rank(scores: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+    order
+}
+
 /// The persistent online evolutionary search.
 #[derive(Debug, Clone)]
 pub struct EvolutionarySearch {
     config: EvoConfig,
     population: Vec<Schedule>,
     /// Per-member score cards, aligned with `population`; empty until the
-    /// first delta-scored generation completes.
+    /// first generation after (re)initialisation completes.
     cards: Vec<ScoreCard>,
     /// Search-scoped throughput memo table: entries are pure in
     /// `(job, placement shape, batches)` and survive across generations.
@@ -212,8 +192,8 @@ impl EvolutionarySearch {
     /// Runs one generation and returns the best candidate `S_*`.
     ///
     /// With no schedulable jobs this returns the empty schedule. See the
-    /// module docs for the per-phase RNG stream layout that makes the
-    /// parallel and sequential paths bit-identical.
+    /// module docs for the per-phase RNG stream layout that keeps the
+    /// parallel derivation deterministic.
     pub fn generation(&mut self, ctx: &EvoContext<'_>) -> Schedule {
         let gpus = ctx.view.spec.total_gpus();
         if ctx.schedulable().is_empty() {
@@ -230,22 +210,15 @@ impl EvolutionarySearch {
         // Search-scoped throughput memoisation: every (job, placement
         // shape, batches) evaluation is pure for as long as the job's
         // profile is, so entries survive across generations; job events
-        // drop per-job entries via [`Self::invalidate_job`]. A
-        // caller-installed cache is kept when ours is disabled. (The
-        // local Arc clone keeps the borrow away from `self` so the
-        // counters below stay mutably reachable.)
+        // drop per-job entries via [`Self::invalidate_job`]. (The local
+        // Arc clone keeps the borrow away from `self` so the counters
+        // below stay mutably reachable.)
         let cache = Arc::clone(&self.cache);
-        let gctx = if self.config.use_cache {
-            ctx.with_cache(&cache)
-        } else {
-            *ctx
-        };
-        let delta = self.config.delta_score;
+        let gctx = ctx.with_cache(&cache);
 
         // Base stream for this generation; every work unit below forks its
         // own child stream, so no RNG state is shared across units.
         let base = self.rng.fork_idx("gen", self.generations);
-        let parallel = self.config.parallel_derive;
 
         if self.population.is_empty() {
             self.initialize(&gctx);
@@ -255,30 +228,31 @@ impl EvolutionarySearch {
         // Refresh every member against live state (this is also where new
         // arrivals enter every candidate), and carry each member's score
         // card forward: only refresh-touched and invalidated jobs
-        // re-resolve their throughput.
+        // re-resolve their throughput. A freshly initialised population
+        // has no cards yet and builds them from scratch.
         let t_refresh = Instant::now();
         let member_idx: Vec<usize> = (0..self.population.len()).collect();
         let population = &self.population;
         let cards = &self.cards;
-        let have_cards = delta && cards.len() == population.len();
         let pending = std::mem::take(&mut self.pending_invalidations);
-        let refreshed: Vec<(Schedule, ScoreCard)> =
-            map_maybe_parallel(parallel, &member_idx, |&i| {
+        let refreshed: Vec<(Schedule, ScoreCard)> = member_idx
+            .par_iter()
+            .map(|&i| {
                 let (s, mut dirty) = ops::refresh(
                     &gctx,
                     &population[i],
                     &mut base.fork_idx("refresh", i as u64),
                 );
-                let card = if have_cards {
-                    dirty.extend(pending.iter().copied());
-                    ScoreCard::derive(&gctx, &s, &cards[i], &dirty, None)
-                } else if delta {
-                    ScoreCard::build(&gctx, &s)
-                } else {
-                    ScoreCard::default()
+                let card = match cards.get(i) {
+                    Some(card) => {
+                        dirty.extend(pending.iter().copied());
+                        ScoreCard::derive(&gctx, &s, card, &dirty, None)
+                    }
+                    None => ScoreCard::build(&gctx, &s),
                 };
                 (s, card)
-            });
+            })
+            .collect();
         let (refreshed, refreshed_cards): (Vec<Schedule>, Vec<ScoreCard>) =
             refreshed.into_iter().unzip();
         self.counters.refresh_nanos += t_refresh.elapsed().as_nanos() as u64;
@@ -311,17 +285,15 @@ impl EvolutionarySearch {
                            mut dirty: DirtySet,
                            legal_dirty: DirtySet,
                            layout: Option<&[JobRun]>| {
-            if !delta {
-                return ScoreCard::default();
-            }
             dirty.extend(legal_dirty);
             ScoreCard::derive(&gctx, child, parent_card, &dirty, layout)
         };
         // Each task counts its own fill work; the counts are summed after
         // the map, so the hot loop shares no counter.
         let pair_idx: Vec<usize> = (0..pairs.len()).collect();
-        let crossed: Vec<([(Schedule, ScoreCard); 2], FillStats)> =
-            map_maybe_parallel(parallel, &pair_idx, |&p| {
+        let crossed: Vec<([(Schedule, ScoreCard); 2], FillStats)> = pair_idx
+            .par_iter()
+            .map(|&p| {
                 let (ai, bi) = pairs[p];
                 let mut fill = FillStats::default();
                 let (c1, c2, xdirty) = ops::crossover(
@@ -347,10 +319,12 @@ impl EvolutionarySearch {
                     derive_card(&s1, &refreshed_cards[ai], xdirty.clone(), d1, l1.as_deref());
                 let card2 = derive_card(&s2, &refreshed_cards[bi], xdirty, d2, l2.as_deref());
                 ([(s1, card1), (s2, card2)], fill)
-            });
+            })
+            .collect();
         let mutant_idx: Vec<usize> = (0..parents.len()).collect();
-        let mutants: Vec<((Schedule, ScoreCard), FillStats)> =
-            map_maybe_parallel(parallel, &mutant_idx, |&m| {
+        let mutants: Vec<((Schedule, ScoreCard), FillStats)> = mutant_idx
+            .par_iter()
+            .map(|&m| {
                 let mut fill = FillStats::default();
                 let (child, mdirty) = ops::mutate(
                     &gctx,
@@ -368,7 +342,8 @@ impl EvolutionarySearch {
                 );
                 let card = derive_card(&s, &refreshed_cards[parents[m]], mdirty, d, l.as_deref());
                 ((s, card), fill)
-            });
+            })
+            .collect();
         self.counters.derive_nanos += t_derive.elapsed().as_nanos() as u64;
 
         // Pool in the documented order: survivors, crossover children
@@ -391,48 +366,34 @@ impl EvolutionarySearch {
         self.counters.fill_rounds += fill.rounds;
         self.counters.fill_probes += fill.probes;
 
-        // Selection: Algorithm 1 sampling, keep the K best. The sort is
-        // stable under total_cmp, so equal scores keep pool order and the
-        // lowest-index candidate wins ties deterministically; NaN scores
-        // sort last instead of panicking. Delta scoring multiplies each
-        // card's ρ-independent factors by this generation's remaining
-        // workloads — the same terms in the same order as the full
-        // rescore, so the totals are bit-identical.
+        // Selection: Algorithm 1 sampling, keep the K best. Each card's
+        // ρ-independent factors are multiplied by this generation's
+        // remaining workloads — the same terms in the same order as a
+        // full [`scoring::score_schedule`] rescore, so the totals are
+        // bit-identical to it.
         let t_score = Instant::now();
         let rhos = scoring::sample_rhos(&gctx, &mut base.fork("rhos"));
-        let scores: Vec<f64> = if delta {
-            let remaining = scoring::remaining_workloads(&gctx, &rhos);
-            pool_cards.iter().map(|c| c.score(&remaining)).collect()
-        } else {
-            scoring::score_all(&gctx, &pool, &rhos)
-        };
+        let remaining = scoring::remaining_workloads(&gctx, &rhos);
+        let scores: Vec<f64> = pool_cards.iter().map(|c| c.score(&remaining)).collect();
         self.counters.candidates_scored += pool.len() as u64;
-        let mut order: Vec<usize> = (0..pool.len()).collect();
-        order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
+        let order = rank(&scores);
         self.counters.score_nanos += t_score.elapsed().as_nanos() as u64;
-        if self.config.use_cache {
-            // The cache is cumulative across the search's lifetime;
-            // counters mirror its totals and keep the last generation's
-            // delta for the cross-generation (warm) hit-rate signal.
-            self.counters.cache_hits = cache.hits();
-            self.counters.cache_misses = cache.misses();
-            self.counters.cache_duplicate_computes = cache.duplicate_computes();
-            self.counters.cache_invalidations = cache.invalidations();
-            self.counters.cache_hits_last_gen =
-                self.counters.cache_hits - counters_before.cache_hits;
-            self.counters.cache_misses_last_gen =
-                self.counters.cache_misses - counters_before.cache_misses;
-        }
+        // The cache is cumulative across the search's lifetime; counters
+        // mirror its totals and keep the last generation's delta for the
+        // cross-generation (warm) hit-rate signal.
+        self.counters.cache_hits = cache.hits();
+        self.counters.cache_misses = cache.misses();
+        self.counters.cache_duplicate_computes = cache.duplicate_computes();
+        self.counters.cache_invalidations = cache.invalidations();
+        self.counters.cache_hits_last_gen = self.counters.cache_hits - counters_before.cache_hits;
+        self.counters.cache_misses_last_gen =
+            self.counters.cache_misses - counters_before.cache_misses;
         gen_span.arg("pool", pool.len());
         self.counters.forward_delta_to_registry(&counters_before);
         let best = pool[order[0]].clone();
         let keep: Vec<usize> = order.into_iter().take(self.config.population).collect();
         self.population = keep.iter().map(|&i| pool[i].clone()).collect();
-        self.cards = if delta {
-            keep.iter().map(|&i| pool_cards[i].clone()).collect()
-        } else {
-            Vec::new()
-        };
+        self.cards = keep.iter().map(|&i| pool_cards[i].clone()).collect();
         best
     }
 
@@ -572,81 +533,171 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let fx = Fixture::new(4);
-        let view = fx.view();
-        let c = ctx(&fx, &view);
-        let mut s1 = search(8);
-        let mut s2 = search(8);
-        for _ in 0..3 {
-            assert_eq!(s1.generation(&c), s2.generation(&c));
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
         let mut fx = Fixture::new(5);
         for i in 0..5 {
             fx.start_job(i, i as u32 + 1);
         }
         let view = fx.view();
         let c = ctx(&fx, &view);
-        let mut seq_cfg = EvoConfig::for_cluster(8);
-        seq_cfg.parallel_derive = false;
-        let mut par_cfg = EvoConfig::for_cluster(8);
-        par_cfg.parallel_derive = true;
-        let mut seq = EvolutionarySearch::new(seq_cfg, DetRng::seed(17));
-        let mut par = EvolutionarySearch::new(par_cfg, DetRng::seed(17));
+        let mut s1 = search(8);
+        let mut s2 = search(8);
         for g in 0..4 {
             assert_eq!(
-                seq.generation(&c),
-                par.generation(&c),
+                s1.generation(&c),
+                s2.generation(&c),
                 "S_* diverged at generation {g}"
             );
-            assert_eq!(seq.population(), par.population());
+            assert_eq!(s1.population(), s2.population());
         }
         // Fill work is counted per derive task and summed after the map,
-        // so the totals cannot depend on how the tasks were scheduled.
-        let (sc, pc) = (seq.perf_counters(), par.perf_counters());
-        assert!(
-            sc.fill_rounds > 0 && sc.fill_probes > 0,
-            "derive ran no fill"
-        );
+        // and a lost cache-insert race still counts one lookup as a hit,
+        // so none of these totals depends on how the tasks were spread
+        // across threads.
+        let (a, b) = (s1.perf_counters(), s2.perf_counters());
+        assert_eq!(a.generations, 4);
+        assert!(a.candidates_scored > 0);
+        assert!(a.fill_rounds > 0 && a.fill_probes > 0, "derive ran no fill");
+        assert!(a.cache_hits > 0, "cache never hit");
         assert_eq!(
-            (sc.fill_rounds, sc.fill_probes),
-            (pc.fill_rounds, pc.fill_probes)
+            (a.fill_rounds, a.fill_probes, a.cache_hits, a.cache_misses),
+            (b.fill_rounds, b.fill_probes, b.cache_hits, b.cache_misses)
         );
     }
 
     #[test]
-    fn cache_and_parallel_do_not_change_selection() {
-        let mut fx = Fixture::new(6);
-        for i in 0..6 {
-            fx.start_job(i, (i * 3) as u32 + 1);
-        }
-        let view = fx.view();
-        let c = ctx(&fx, &view);
-        let mut plain_cfg = EvoConfig::for_cluster(8);
-        plain_cfg.parallel_derive = false;
-        plain_cfg.use_cache = false;
-        let full_cfg = EvoConfig::for_cluster(8);
-        assert!(full_cfg.parallel_derive && full_cfg.use_cache);
-        let mut plain = EvolutionarySearch::new(plain_cfg, DetRng::seed(23));
-        let mut full = EvolutionarySearch::new(full_cfg, DetRng::seed(23));
-        for g in 0..4 {
-            assert_eq!(
-                plain.generation(&c),
-                full.generation(&c),
-                "S_* diverged at generation {g}"
-            );
-            assert_eq!(plain.population(), full.population());
-        }
-        let counters = full.perf_counters();
-        assert_eq!(counters.generations, 4);
-        assert!(counters.candidates_scored > 0);
-        assert!(counters.cache_hits > 0, "cache never hit");
-        assert_eq!(plain.perf_counters().cache_hits, 0);
+    fn rank_puts_nan_last_and_breaks_ties_low() {
+        assert!(rank(&[]).is_empty());
+        assert_eq!(rank(&[f64::NAN]), [0]);
+        assert_eq!(rank(&[f64::NAN, 1.0, 0.5]), [2, 1, 0]);
+        assert_eq!(rank(&[f64::INFINITY, f64::NAN]), [0, 1]);
+        // Equal scores keep pool order: the lowest index wins.
+        assert_eq!(rank(&[2.0, 1.0, 1.0, 3.0]), [1, 2, 0, 3]);
+        assert_eq!(rank(&[0.0, 0.0, 0.0]), [0, 1, 2]);
     }
 
+    #[test]
+    fn nan_throughput_candidate_ranks_last() {
+        // Regression: selection used to unwrap partial_cmp and panicked
+        // the scheduler on any NaN score. Inject a NaN throughput via the
+        // memo table (the perf model never returns NaN for legal input).
+        let mut fx = Fixture::new(2);
+        fx.start_job(0, 5);
+        fx.start_job(1, 5);
+        let view = fx.view();
+        let cache = ThroughputCache::new();
+        let c = ctx(&fx, &view).with_cache(&cache);
+
+        let healthy = genome(&[Some((0, 256))]);
+        let poisoned = genome(&[Some((1, 256))]);
+        let sig = poisoned.job_signature(JobId(1), c.gpus_per_node()).unwrap();
+        cache.get_or_insert_with((JobId(1), sig.placement, sig.batches), || f64::NAN);
+        let cards = [
+            ScoreCard::build(&c, &poisoned),
+            ScoreCard::build(&c, &healthy),
+        ];
+
+        for seed in 0..10 {
+            let rhos = scoring::sample_rhos(&c, &mut DetRng::seed(seed));
+            let remaining = scoring::remaining_workloads(&c, &rhos);
+            let scores = cards.each_ref().map(|card| card.score(&remaining));
+            assert_eq!(rank(&scores), [1, 0], "NaN-scored candidate must lose");
+        }
+    }
+
+    /// Checks every member's stored card against the full-rescore oracle
+    /// on the uncached context `c`: the card equals a from-scratch
+    /// [`ScoreCard::build`], and its score is bit-identical to
+    /// [`scoring::score_schedule`] under a fresh ρ-sample.
+    fn check_cards(
+        s: &EvolutionarySearch,
+        c: &EvoContext<'_>,
+        rng: &mut DetRng,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(s.cards.len(), s.population.len());
+        let rhos = scoring::sample_rhos(c, rng);
+        let remaining = scoring::remaining_workloads(c, &rhos);
+        for (member, card) in s.population.iter().zip(&s.cards) {
+            assert_card_matches_full(c, member, card)?;
+            prop_assert_eq!(
+                card.score(&remaining).to_bits(),
+                scoring::score_schedule(c, member, &rhos).to_bits()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The persistent search's stored cards stay exact against the
+        /// full-rescore oracle over a replay with kills, resubmissions
+        /// under a recycled id (a different model behind the same job id
+        /// — only the pending invalidation can tell), arrivals and epoch
+        /// ends mutating the live state between generations.
+        #[test]
+        fn stored_cards_match_full_rescore_oracle(
+            running_mask in 0u64..64,
+            kills in proptest::collection::vec((0u64..6, 0u8..2), 1..4),
+            seed in 0u64..500,
+        ) {
+            // Jobs 0–2 start out running, so the replay has epoch ends.
+            let mut fx = Fixture::varied(6, running_mask | 0b111, &[1, 2, 8]);
+            let mut s = EvolutionarySearch::new(EvoConfig::for_cluster(8), DetRng::seed(seed));
+            let mut oracle_rng = DetRng::seed(seed ^ 0x5eed);
+
+            for (step, &(k, recycle)) in kills.iter().enumerate() {
+                {
+                    let view = fx.view();
+                    let c = ctx(&fx, &view);
+                    let _ = s.generation(&c);
+                    check_cards(&s, &c, &mut oracle_rng)?;
+                }
+
+                // Kill job k (trace kill / completion); half the time a
+                // resubmission immediately recycles its id.
+                let killed = JobId(k);
+                fx.jobs.get_mut(&killed).unwrap().phase = JobPhase::Completed;
+                if recycle == 1 {
+                    fx.submit(k, ModelKind::Vgg16);
+                }
+                s.invalidate_job(killed);
+                // Every surviving running job ends an epoch.
+                let epoch_ended: Vec<JobId> = fx
+                    .jobs
+                    .iter_mut()
+                    .filter(|(_, st)| st.is_running())
+                    .map(|(&id, st)| {
+                        st.epochs_done += 1;
+                        st.samples_processed += 20_000.0;
+                        st.exec_time += 8.0;
+                        id
+                    })
+                    .collect();
+                for id in epoch_ended {
+                    s.invalidate_job(id);
+                }
+                // A new job arrives.
+                let new_id = 100 + step as u64;
+                fx.submit(new_id, ModelKind::ResNet18);
+                s.invalidate_job(JobId(new_id));
+            }
+
+            // One final generation over the fully mutated state.
+            let view = fx.view();
+            let c = ctx(&fx, &view);
+            let _ = s.generation(&c);
+            check_cards(&s, &c, &mut oracle_rng)?;
+            // The persistent cache must actually have been reused across
+            // generations (warm hits) for the test to mean anything.
+            prop_assert!(
+                s.perf_counters().cache_hits_last_gen > 0,
+                "final generation never hit the warm cache"
+            );
+        }
+    }
+
+    use ones_dlperf::ModelKind;
     use ones_simcore::DetRng;
     use ones_workload::JobId;
+    use proptest::prelude::*;
 }

@@ -132,9 +132,7 @@ pub fn run_core(
             }
         }
         if stop {
-            publish(backend.as_mut(), &state, phase, paused, draining);
-            persist_snapshot(backend.as_ref(), draining, opts.state_file.as_deref());
-            return backend;
+            break;
         }
         if handled {
             persist_snapshot(backend.as_ref(), draining, opts.state_file.as_deref());
@@ -154,24 +152,12 @@ pub fn run_core(
                     ) {
                         Verdict::Continue => {}
                         Verdict::Woke => phase = BackendPhase::Active,
-                        Verdict::Stop => {
-                            publish(backend.as_mut(), &state, phase, paused, draining);
-                            persist_snapshot(
-                                backend.as_ref(),
-                                draining,
-                                opts.state_file.as_deref(),
-                            );
-                            return backend;
-                        }
+                        Verdict::Stop => break,
                     }
                     persist_snapshot(backend.as_ref(), draining, opts.state_file.as_deref());
                 }
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    publish(backend.as_mut(), &state, phase, paused, draining);
-                    persist_snapshot(backend.as_ref(), draining, opts.state_file.as_deref());
-                    return backend;
-                }
+                Err(RecvTimeoutError::Disconnected) => break,
             }
             continue;
         }
@@ -195,6 +181,11 @@ pub fn run_core(
             std::thread::sleep(opts.step_delay);
         }
     }
+    // The one shutdown exit (a stop message or every sender gone):
+    // publish and persist the final state.
+    publish(backend.as_mut(), &state, phase, paused, draining);
+    persist_snapshot(backend.as_ref(), draining, opts.state_file.as_deref());
+    backend
 }
 
 /// Persists a recovery snapshot if a state file is configured. Failures

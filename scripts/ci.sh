@@ -17,14 +17,12 @@
 #   RUN_MIRI=1 scripts/ci.sh   # also run Miri over the sync-facade and
 #                              # cache tests (needs `cargo +nightly miri`;
 #                              # skipped with a notice otherwise)
-#   RUN_BENCH=1 scripts/ci.sh  # also run the evolution micro-bench, the
-#                              # observability overhead bench, the
-#                              # trace-replay macro-bench and the ones-d
-#                              # service bench, emitting
-#                              # BENCH_evolution.json,
-#                              # BENCH_observability.json,
-#                              # BENCH_trace_replay.json and
-#                              # BENCH_service.json at the repo root
+#   RUN_BENCH=1 scripts/ci.sh  # also run the observability overhead
+#                              # bench (full-level tracing must cost
+#                              # < 5 %), rewriting
+#                              # BENCH_observability.json at the repo
+#                              # root. Performance is otherwise measured
+#                              # by perfbench/ (see perfbench/README.md)
 #
 # Everything runs offline against the in-repo shim crates (shims/); no
 # network access or external dependencies are required.
@@ -205,32 +203,8 @@ if [[ "${RUN_MIRI:-0}" == "1" ]]; then
 fi
 
 if [[ "${RUN_BENCH:-0}" == "1" ]]; then
-    echo "==> evolution micro-bench (BENCH_evolution.json)"
-    # Scoring-phase regression gate: the 1 024-GPU delta-scoring speedup
-    # over the cached full rescore must stay within 30% of the committed
-    # baseline, and never drop below the 5x acceptance floor. The bench
-    # itself enforces the floor (non-zero exit on regression).
-    floor="5.0"
-    if [[ -f BENCH_evolution.json ]]; then
-        committed="$(grep -o '"scoring_speedup_1024_delta_vs_cache": *[0-9.eE+-]*' \
-            BENCH_evolution.json | grep -o '[0-9.eE+-]*$' || true)"
-        if [[ -n "${committed:-}" ]]; then
-            floor="$(awk -v c="$committed" \
-                'BEGIN { f = 0.7 * c; if (f < 5.0) f = 5.0; printf "%.2f", f }')"
-            echo "    committed speedup ${committed}x -> gate floor ${floor}x"
-        fi
-    fi
-    BENCH_JSON="$PWD/BENCH_evolution.json" BENCH_MIN_SCORING_SPEEDUP="$floor" \
-        cargo bench -p ones-bench --bench evolution
-
     echo "==> observability overhead bench (BENCH_observability.json)"
     BENCH_JSON="$PWD/BENCH_observability.json" cargo bench -p ones-bench --bench observability
-
-    echo "==> trace-replay macro-bench (BENCH_trace_replay.json)"
-    BENCH_JSON="$PWD/BENCH_trace_replay.json" cargo bench -p ones-bench --bench trace_replay
-
-    echo "==> ones-d service bench (BENCH_service.json)"
-    BENCH_JSON="$PWD/BENCH_service.json" cargo bench -p ones-bench --bench service
 fi
 
 echo "CI OK"
