@@ -127,11 +127,7 @@ impl Scheduler for Tiresias {
                 .count();
             STARVATION_PROMOTIONS.add(starved as u64);
         }
-        order.sort_by(|a, b| {
-            self.queue_of(a, view.now)
-                .cmp(&self.queue_of(b, view.now))
-                .then(a.arrival.cmp(&b.arrival))
-        });
+        order.sort_by_cached_key(|j| (self.queue_of(j, view.now), j.arrival));
         // Allocate gangs in priority order with backfill; keep running
         // jobs that stay admitted in place (no gratuitous migration).
         let wants: Vec<(ones_workload::JobId, u32)> = order

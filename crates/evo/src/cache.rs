@@ -18,11 +18,12 @@
 //! Entries are valid as long as the job's model profile and the cluster
 //! fabric are unchanged — generations do not invalidate anything, so the
 //! cache lives for the whole search and later generations run almost
-//! entirely on warm entries. What *does* invalidate a job's entries is a
-//! view change concerning that job: arrival (id reuse), completion
-//! (reclamation), or an epoch-end telemetry update (defensive — today's
-//! throughput model reads only static specs, but the contract must hold
-//! if profiles ever recalibrate online). The scheduler calls
+//! entirely on warm entries. What *does* invalidate a job's entries is the
+//! job entering or leaving the view: arrival (id reuse) and completion
+//! (reclamation). Epoch ends only update telemetry, which the throughput
+//! model does not read (it reads static specs), so they keep the entries;
+//! a model that recalibrated profiles online would have to invalidate
+//! there too. The scheduler calls
 //! [`ThroughputCache::invalidate_job`] on exactly those events; a per-job
 //! epoch stamp closes the race where a compute that started before an
 //! invalidation would otherwise insert a stale value after it.

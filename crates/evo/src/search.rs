@@ -146,12 +146,17 @@ impl EvolutionarySearch {
     /// Drops every cached state derived from `job`'s configuration: its
     /// throughput-cache entries (the entries are pure in placement and
     /// batches, but the job's *model profile* is only fixed while the job
-    /// is known — arrival, epoch end and completion may all change what
-    /// the view reports) and its score-card terms, which re-resolve at
-    /// the next generation. Call on every job event.
+    /// is known) and its score-card terms, which re-resolve at the next
+    /// generation. Call when the job enters or leaves the view (arrival,
+    /// completion); epoch ends leave its profile unchanged.
     pub fn invalidate_job(&mut self, job: JobId) {
         self.cache.invalidate_job(job);
         self.pending_invalidations.insert(job);
+        // Counted now, not at the next generation: a completion after
+        // the last generation must still show.
+        let before = self.counters;
+        self.counters.cache_invalidations = self.cache.invalidations();
+        self.counters.forward_delta_to_registry(&before);
     }
 
     /// Generations evolved so far.

@@ -17,7 +17,7 @@ use crate::policies::{BatchLimits, PolicyConfig};
 use ones_evo::{EvoConfig, EvoContext, EvolutionarySearch};
 use ones_predictor::{FeatureSnapshot, PredictorConfig, ProgressPredictor};
 use ones_schedcore::{
-    ClusterView, ScalingMechanism, SchedEvent, SchedTuning, Schedule, Scheduler,
+    ClusterView, JobStatus, ScalingMechanism, SchedEvent, SchedTuning, Schedule, Scheduler,
     SchedulerPerfCounters,
 };
 use ones_simcore::DetRng;
@@ -124,19 +124,15 @@ impl OnesScheduler {
     }
 
     /// Applies the event's effect on policies, predictor and histories.
-    /// Every per-job event also invalidates that job's entries in the
+    /// Arrivals and completions also invalidate the job's entries in the
     /// search's cross-generation throughput cache and score cards — the
-    /// cached values are pure in the job's profile and configuration,
-    /// which only these events can change.
+    /// cached values are pure in the job's static profile, which only a
+    /// job entering or leaving the view can change (epoch ends update
+    /// telemetry, not the profile).
     fn ingest(&mut self, event: SchedEvent, view: &ClusterView<'_>) {
         match event {
-            SchedEvent::JobArrived(id)
-            | SchedEvent::EpochEnded(id)
-            | SchedEvent::JobCompleted(id) => self.search.invalidate_job(id),
-            SchedEvent::Tick => {}
-        }
-        match event {
             SchedEvent::JobArrived(id) => {
+                self.search.invalidate_job(id);
                 if let Some(job) = view.jobs.get(&id) {
                     self.limits.on_arrival(&job.spec);
                     self.histories.entry(id).or_default();
@@ -149,7 +145,7 @@ impl OnesScheduler {
                         .or_default()
                         .push(FeatureSnapshot::capture(job));
                     let memory_cap = job.spec.profile().max_local_batch * view.spec.total_gpus();
-                    let contended = !view.waiting_jobs().is_empty();
+                    let contended = view.jobs.values().any(JobStatus::is_waiting);
                     self.limits.on_epoch_end(
                         id,
                         job.epochs_done,
@@ -160,6 +156,7 @@ impl OnesScheduler {
                 }
             }
             SchedEvent::JobCompleted(id) => {
+                self.search.invalidate_job(id);
                 let history = self.histories.remove(&id).unwrap_or_default();
                 if self.config.use_predictor {
                     if let Some(job) = view.jobs.get(&id) {

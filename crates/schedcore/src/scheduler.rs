@@ -61,7 +61,8 @@ impl SchedEvent {
     }
 }
 
-/// Read-only snapshot the scheduler decides against.
+/// Read-only view the scheduler decides against. It borrows the engine's
+/// own job statuses and deployed schedule; nothing is copied per event.
 #[derive(Debug)]
 pub struct ClusterView<'a> {
     /// Current virtual time.

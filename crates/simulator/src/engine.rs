@@ -90,9 +90,10 @@ struct Segment {
     last_accrual: SimTime,
 }
 
+/// Engine-side state of an arrived job; its [`JobStatus`] lives in
+/// [`Simulation::statuses`].
 #[derive(Debug)]
 struct SimJob {
-    status: JobStatus,
     conv: ConvergenceState,
     /// Bumped on every re-configuration; stale `EpochEnd` events are
     /// dropped by sequence mismatch.
@@ -202,12 +203,15 @@ pub struct Simulation {
     queue: EventQueue<Event>,
     /// Jobs that have not arrived yet.
     pending: BTreeMap<JobId, ones_workload::JobSpec>,
-    /// Jobs that have arrived (what schedulers can see).
+    /// Engine-side state of the jobs that have arrived.
     jobs: BTreeMap<JobId, SimJob>,
+    /// Status of every arrived job: the engine's only job-state store,
+    /// written in place at each transition and borrowed as
+    /// [`ClusterView::jobs`].
+    statuses: BTreeMap<JobId, JobStatus>,
     /// Desired-vs-actual reconciliation state; its actual schedule is the
     /// single source of truth for what is deployed.
     recon: Reconciler,
-    statuses: BTreeMap<JobId, JobStatus>,
     /// Lifecycle events emitted by the current step.
     outbox: Outbox,
     next_tick: Option<SimTime>,
@@ -238,13 +242,13 @@ impl Simulation {
         Simulation {
             pending,
             jobs: BTreeMap::new(),
+            statuses: BTreeMap::new(),
             config,
             perf,
             cost: ScalingCostModel::default(),
             scheduler,
             queue,
             recon: Reconciler::new(total_gpus),
-            statuses: BTreeMap::new(),
             outbox: Outbox::default(),
             next_tick: None,
             deployments: 0,
@@ -375,8 +379,8 @@ impl Simulation {
     #[must_use]
     pub(crate) fn running_and_waiting(&self) -> (u32, u32) {
         let (mut running, mut waiting) = (0, 0);
-        for job in self.jobs.values() {
-            match job.status.phase {
+        for status in self.statuses.values() {
+            match status.phase {
                 JobPhase::Running => running += 1,
                 JobPhase::Waiting => waiting += 1,
                 JobPhase::Completed => {}
@@ -396,11 +400,7 @@ impl Simulation {
     /// reported as freshly submitted at their (future) arrival time.
     #[must_use]
     pub fn job_statuses(&self) -> BTreeMap<JobId, JobStatus> {
-        let mut out: BTreeMap<JobId, JobStatus> = self
-            .jobs
-            .iter()
-            .map(|(id, job)| (*id, job.status.clone()))
-            .collect();
+        let mut out = self.statuses.clone();
         for (id, spec) in &self.pending {
             out.insert(
                 *id,
@@ -425,27 +425,20 @@ impl Simulation {
     /// Consumes the simulation and produces the final accounting, exactly
     /// as a completed [`Simulation::run`] would.
     #[must_use]
-    pub fn into_result(mut self) -> (SimResult, Box<dyn Scheduler>) {
+    pub fn into_result(self) -> (SimResult, Box<dyn Scheduler>) {
         let makespan = self.last_time().as_secs();
         let all_completed = self.all_completed();
-        for (id, job) in &self.jobs {
-            self.statuses.insert(*id, job.status.clone());
-        }
         // Outcome accounting: normal completions, abnormal endings, and
         // whatever the run left unfinished (including jobs that never
-        // arrived before a time/event cap — they are not in `jobs`).
-        let killed_jobs = self.jobs.values().filter(|j| j.status.killed).count();
+        // arrived before a time/event cap — they have no status).
+        let killed_jobs = self.statuses.values().filter(|s| s.killed).count();
         let completed_jobs = self
-            .jobs
+            .statuses
             .values()
-            .filter(|j| j.status.is_completed() && !j.status.killed)
+            .filter(|s| s.is_completed() && !s.killed)
             .count();
-        let incomplete_jobs = self.pending.len()
-            + self
-                .jobs
-                .values()
-                .filter(|j| !j.status.is_completed())
-                .count();
+        let incomplete_jobs =
+            self.pending.len() + self.statuses.values().filter(|s| !s.is_completed()).count();
         let result = SimResult {
             total_gpus: self.perf.spec().total_gpus(),
             jobs: self.statuses,
@@ -467,7 +460,7 @@ impl Simulation {
     }
 
     fn all_completed(&self) -> bool {
-        self.pending.is_empty() && self.jobs.values().all(|j| j.status.is_completed())
+        self.pending.is_empty() && self.statuses.values().all(JobStatus::is_completed)
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
@@ -490,18 +483,18 @@ impl Simulation {
         let sched_event = match event {
             Event::Arrival(id) => {
                 let spec = self.pending.remove(&id).expect("arrival of unknown job");
+                if let Some(delay) = spec.kill_after_secs {
+                    self.queue.push(now + delay, Event::Kill(id));
+                }
                 self.jobs.insert(
                     id,
                     SimJob {
-                        status: JobStatus::submitted(spec.clone(), now),
                         conv: ConvergenceState::new(spec.convergence),
                         epoch_seq: 0,
                         segment: None,
                     },
                 );
-                if let Some(delay) = spec.kill_after_secs {
-                    self.queue.push(now + delay, Event::Kill(id));
-                }
+                self.statuses.insert(id, JobStatus::submitted(spec, now));
                 self.outbox
                     .emit(now, id, BackendEventKind::Arrived, Track::Plain);
                 Some(SchedEvent::JobArrived(id))
@@ -520,11 +513,6 @@ impl Simulation {
     }
 
     fn invoke_scheduler(&mut self, now: SimTime, event: SchedEvent) {
-        // Sync status snapshots.
-        self.statuses.clear();
-        for (id, job) in &self.jobs {
-            self.statuses.insert(*id, job.status.clone());
-        }
         let (running, waiting) = self.running_and_waiting();
         QUEUE_DEPTH.set(self.queue.len() as f64);
         RUNNING_JOBS.set(f64::from(running));
@@ -559,26 +547,27 @@ impl Simulation {
     /// flows into the ONES predictor's training set, exercising the §2.1
     /// robustness argument.
     fn handle_kill(&mut self, now: SimTime, id: JobId) -> Option<SchedEvent> {
-        let job = self.jobs.get_mut(&id)?;
-        if job.status.is_completed() {
+        let status = self.statuses.get_mut(&id)?;
+        if status.is_completed() {
             return None; // converged before the kill fired
         }
+        let job = self.jobs.get_mut(&id).expect("arrived job");
         if let Some(segment) = job.segment.take() {
             let held = now - segment.last_accrual;
-            job.status.exec_time += held;
-            job.status.gpu_service += held * segment.placement.len() as f64;
+            status.exec_time += held;
+            status.gpu_service += held * segment.placement.len() as f64;
             if now > segment.epoch_started && segment.epoch_duration > 0.0 {
                 let fraction =
                     ((now - segment.epoch_started) / segment.epoch_duration).clamp(0.0, 1.0);
-                job.status.samples_processed += fraction * job.status.spec.dataset_size as f64;
+                status.samples_processed += fraction * status.spec.dataset_size as f64;
             }
         }
         job.epoch_seq += 1;
-        job.status.phase = JobPhase::Completed;
-        job.status.killed = true;
-        job.status.completion = Some(now);
-        job.status.current_batch = 0;
-        job.status.current_gpus = 0;
+        status.phase = JobPhase::Completed;
+        status.killed = true;
+        status.completion = Some(now);
+        status.current_batch = 0;
+        status.current_gpus = 0;
         self.recon.observe_removed(id);
         self.outbox
             .emit(now, id, BackendEventKind::Killed, Track::Plain);
@@ -590,30 +579,31 @@ impl Simulation {
     fn handle_epoch_end(&mut self, now: SimTime, id: JobId, seq: u64) -> Option<SchedEvent> {
         let scales = self.scheduler.scales_batch_sizes();
         let job = self.jobs.get_mut(&id)?;
-        if job.epoch_seq != seq || !job.status.is_running() {
+        let status = self.statuses.get_mut(&id).expect("arrived job");
+        if job.epoch_seq != seq || !status.is_running() {
             return None;
         }
         let segment = job.segment.as_mut().expect("running job has a segment");
         EPOCHS.inc();
-        let lr_scaled = scales || segment.global_batch == job.status.spec.submit_batch;
+        let lr_scaled = scales || segment.global_batch == status.spec.submit_batch;
         job.conv.advance_epoch(segment.global_batch, lr_scaled);
 
         // Telemetry upload (§3.1): workers report at each epoch end.
         let held = now - segment.last_accrual;
         segment.last_accrual = now;
-        job.status.exec_time += held;
-        job.status.gpu_service += held * segment.placement.len() as f64;
-        job.status.epochs_done = job.conv.epochs_done();
-        job.status.samples_processed += job.status.spec.dataset_size as f64;
-        job.status.current_loss = job.conv.loss();
-        job.status.current_accuracy = job.conv.accuracy();
-        job.status.throughput = job.status.spec.dataset_size as f64 / segment.epoch_duration;
-        job.status.epochs_in_current_schedule += 1;
+        status.exec_time += held;
+        status.gpu_service += held * segment.placement.len() as f64;
+        status.epochs_done = job.conv.epochs_done();
+        status.samples_processed += status.spec.dataset_size as f64;
+        status.current_loss = job.conv.loss();
+        status.current_accuracy = job.conv.accuracy();
+        status.throughput = status.spec.dataset_size as f64 / segment.epoch_duration;
+        status.epochs_in_current_schedule += 1;
         self.outbox.emit(
             now,
             id,
             BackendEventKind::EpochEnded {
-                epochs_done: job.status.epochs_done,
+                epochs_done: status.epochs_done,
             },
             Track::Epoch {
                 from: segment.epoch_started,
@@ -623,10 +613,10 @@ impl Simulation {
         );
 
         if job.conv.converged() {
-            job.status.phase = JobPhase::Completed;
-            job.status.completion = Some(now);
-            job.status.current_batch = 0;
-            job.status.current_gpus = 0;
+            status.phase = JobPhase::Completed;
+            status.completion = Some(now);
+            status.current_batch = 0;
+            status.current_gpus = 0;
             job.segment = None;
             job.epoch_seq += 1;
             self.recon.observe_removed(id);
@@ -655,14 +645,14 @@ impl Simulation {
     fn deploy(&mut self, now: SimTime, schedule: Schedule) {
         schedule
             .validate(self.perf.spec(), |j| {
-                self.jobs
+                self.statuses
                     .get(&j)
-                    .map_or(0, |job| job.status.spec.profile().max_local_batch)
+                    .map_or(0, |s| s.spec.profile().max_local_batch)
             })
             .expect("scheduler produced an invalid schedule");
         for job in schedule.running_jobs().keys() {
             assert!(
-                self.jobs.get(job).is_some_and(|j| !j.status.is_completed()),
+                self.statuses.get(job).is_some_and(|s| !s.is_completed()),
                 "scheduler placed unknown or completed job {job}"
             );
         }
@@ -702,20 +692,21 @@ impl Simulation {
         let cost_model = self.cost;
         let id = op.job;
         let job = self.jobs.get_mut(&id).expect("known job");
+        let status = self.statuses.get_mut(&id).expect("known job");
 
         // Wind down the current segment (pro-rated partial epoch).
         let was_running = job.segment.is_some();
         if let Some(segment) = job.segment.take() {
             let held = now - segment.last_accrual;
-            job.status.exec_time += held;
-            job.status.gpu_service += held * segment.placement.len() as f64;
+            status.exec_time += held;
+            status.gpu_service += held * segment.placement.len() as f64;
             if now > segment.epoch_started && segment.epoch_duration > 0.0 {
                 let fraction =
                     ((now - segment.epoch_started) / segment.epoch_duration).clamp(0.0, 1.0);
-                let lr_scaled = scales || segment.global_batch == job.status.spec.submit_batch;
+                let lr_scaled = scales || segment.global_batch == status.spec.submit_batch;
                 job.conv
                     .advance_fraction(segment.global_batch, lr_scaled, fraction * 0.999_999);
-                job.status.samples_processed += fraction * job.status.spec.dataset_size as f64;
+                status.samples_processed += fraction * status.spec.dataset_size as f64;
             }
         }
         job.epoch_seq += 1;
@@ -723,9 +714,9 @@ impl Simulation {
         if matches!(op.kind, OpKind::Preempt) {
             // Releasing GPUs is free: every phase is zero-duration.
             while op.advance(&PhasePlan::ZERO).is_some() {}
-            job.status.phase = JobPhase::Waiting;
-            job.status.current_batch = 0;
-            job.status.current_gpus = 0;
+            status.phase = JobPhase::Waiting;
+            status.current_batch = 0;
+            status.current_gpus = 0;
             if was_running {
                 self.outbox
                     .emit(now, id, BackendEventKind::Preempted, Track::Plain);
@@ -737,9 +728,9 @@ impl Simulation {
         let placement = schedule.placement(id);
         let batches = schedule.local_batches(id);
         let global_batch = schedule.global_batch(id);
-        let profile = job.status.spec.profile();
+        let profile = status.spec.profile();
         let plan = if !was_running {
-            match (mechanism, job.status.first_start.is_some()) {
+            match (mechanism, status.first_start.is_some()) {
                 // Fresh start: spawn processes, build the input pipeline.
                 (_, false) => cost_model.cold_start_plan(),
                 // Resume: elastic re-spawns workers; checkpointed systems
@@ -792,7 +783,7 @@ impl Simulation {
         job.conv.on_batch_change(global_batch);
 
         let epoch_duration =
-            perf.epoch_time(&profile, job.status.spec.dataset_size, &batches, &placement);
+            perf.epoch_time(&profile, status.spec.dataset_size, &batches, &placement);
         let epoch_started = now + overhead;
         job.segment = Some(Segment {
             placement: placement.clone(),
@@ -801,11 +792,11 @@ impl Simulation {
             epoch_started,
             last_accrual: now,
         });
-        job.status.phase = JobPhase::Running;
-        job.status.first_start.get_or_insert(now);
-        job.status.current_batch = global_batch;
-        job.status.current_gpus = placement.len() as u32;
-        job.status.epochs_in_current_schedule = 0;
+        status.phase = JobPhase::Running;
+        status.first_start.get_or_insert(now);
+        status.current_batch = global_batch;
+        status.current_gpus = placement.len() as u32;
+        status.epochs_in_current_schedule = 0;
         let at = epoch_started + epoch_duration;
         let seq = job.epoch_seq;
         if at.as_secs() <= self.config.max_time {
@@ -842,15 +833,18 @@ mod tests {
         run_logged(kind, n, gpus).0
     }
 
-    /// Runs step by step, keeping every step's lifecycle events.
+    /// Runs step by step under a [`ViewSpy`], keeping every step's
+    /// lifecycle events.
     fn run_logged(kind: SchedulerKind, n: usize, gpus: u32) -> (SimResult, Vec<BackendEvent>) {
         let trace = small_trace(n, 7);
         let spec = ClusterSpec::longhorn_subset(gpus);
-        let scheduler = kind.build(&spec, &trace, &DetRng::seed(11));
+        let spy = ViewSpy {
+            inner: kind.build(&spec, &trace, &DetRng::seed(11)),
+        };
         let mut sim = Simulation::new(
             PerfModel::new(spec),
             &trace,
-            scheduler,
+            Box::new(spy),
             SimConfig::default(),
         );
         let mut events = Vec::new();
@@ -858,6 +852,77 @@ mod tests {
             events.extend_from_slice(sim.step_events());
         }
         (sim.into_result().0, events)
+    }
+
+    /// Delegates to a real scheduler and checks, on every event, that the
+    /// borrowed status store agrees with the deployed schedule.
+    struct ViewSpy {
+        inner: Box<dyn Scheduler>,
+    }
+
+    impl Scheduler for ViewSpy {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn mechanism(&self) -> ScalingMechanism {
+            self.inner.mechanism()
+        }
+
+        fn scales_batch_sizes(&self) -> bool {
+            self.inner.scales_batch_sizes()
+        }
+
+        fn next_wakeup(&self, now: SimTime) -> Option<SimTime> {
+            self.inner.next_wakeup(now)
+        }
+
+        fn on_event(&mut self, event: SchedEvent, view: &ClusterView<'_>) -> Option<Schedule> {
+            let deployed = view.deployed.running_jobs();
+            for (id, &(_, gpus)) in &deployed {
+                let status = &view.jobs[id];
+                assert!(status.is_running(), "deployed {id} is {:?}", status.phase);
+                assert_eq!(status.current_gpus, gpus, "{id}: GPUs disagree");
+            }
+            for (id, status) in view.jobs {
+                if status.is_running() {
+                    assert!(deployed.contains_key(id), "running {id} is not deployed");
+                }
+            }
+            self.inner.on_event(event, view)
+        }
+    }
+
+    #[test]
+    fn view_agrees_with_the_deployed_schedule_on_every_event() {
+        // The Philly-style smoke replay: contended, with abnormal kills.
+        let trace = ones_workload::ReplayConfig {
+            num_jobs: 12,
+            base_rate: 1.0 / 20.0,
+            seed: 7,
+            ..ones_workload::ReplayConfig::default()
+        }
+        .generate();
+        let spec = ClusterSpec::longhorn_subset(16);
+        for kind in [
+            SchedulerKind::Ones,
+            SchedulerKind::Tiresias,
+            SchedulerKind::Fifo,
+        ] {
+            let spy = ViewSpy {
+                inner: kind.build(&spec, &trace, &DetRng::seed(11)),
+            };
+            let sim = Simulation::new(
+                PerfModel::new(spec),
+                &trace,
+                Box::new(spy),
+                SimConfig::default(),
+            );
+            let r = sim.run();
+            assert!(r.deployments > 0, "{kind:?}: nothing was deployed");
+            assert!(r.killed_jobs > 0, "{kind:?}: the trace must exercise kills");
+            assert_eq!(r.incomplete_jobs, 0, "{kind:?}");
+        }
     }
 
     #[test]

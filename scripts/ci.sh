@@ -4,9 +4,10 @@
 #
 #   scripts/ci.sh              # workspace build, workspace tests,
 #                              # the benchmark's build and tests
-#                              # (perfbench/), ones-lint, workspace
-#                              # clippy, fmt, trace-replay and daemon
-#                              # smoke
+#                              # (perfbench/), a short traced run of
+#                              # both simulator workloads, ones-lint,
+#                              # workspace clippy, fmt, trace-replay
+#                              # and daemon smoke
 #   RUN_LOOM=1 scripts/ci.sh   # also model-check the loom tests in
 #                              # crates/{evo,obs,oned}/tests/loom_*.rs
 #                              # under RUSTFLAGS="--cfg ones_loom"
@@ -39,6 +40,20 @@ echo "==> cargo test --release --manifest-path perfbench/Cargo.toml (the benchma
 # perfbench is a workspace of its own that builds the crates by path, so a
 # program API change that breaks the benchmark fails here.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench smoke (simulator workloads, 3 s, traced)"
+# perfbench exits non-zero when its own checks refuse a run: results not
+# bit-identical across repeats or between traced and untraced runs, an
+# unfinished job, or traced layers not summing to run_s within 2%.
+for workload in tiresias_philly_64g ones_table2_64g; do
+    if ! out="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 1)"; then
+        echo "$out" >&2
+        echo "FAIL: perfbench refused the $workload run" >&2
+        exit 1
+    fi
+    echo "    $workload OK"
+done
 
 echo "==> ones-lint (concurrency & determinism rules; lint.allow for exceptions)"
 cargo run -q --release -p ones-lint
