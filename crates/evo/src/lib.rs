@@ -21,8 +21,11 @@
 //!   `S_*`.
 //!
 //! Candidate derivation (crossover, mutation and legalisation) and the
-//! refresh of every member always run on rayon, with no population-size
-//! threshold; scoring is a sequential merge of score cards.
+//! refresh of every member run on rayon, forking only when a phase has at
+//! least twice [`search::MIN_MEMBERS_PER_THREAD`] work units (from 128
+//! GPUs up under the paper's configuration); scoring is a sequential
+//! merge of score cards. A fill with no action to take returns before
+//! drawing ρ (see [`ops::fill_idle`]).
 //!
 //! Three exact accelerations make up the one scoring path (see [`cache`]
 //! and the determinism notes in [`search`]): a search-scoped

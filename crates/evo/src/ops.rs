@@ -128,7 +128,9 @@ impl std::ops::AddAssign for FillStats {
 /// Fills idle GPUs by resuming waiting jobs or scaling up running jobs,
 /// repeatedly selecting the candidate with the smallest utilisation
 /// increase `Δφ_j · Y_j` via Algorithm 1 sampling (Figure 7). Returns the
-/// jobs whose slots changed; `stats` accumulates the work done.
+/// jobs whose slots changed; `stats` accumulates the work done. Draws ρ
+/// from `rng` only when some action exists, so a caller must not reuse
+/// `rng` expecting a fixed number of draws.
 pub fn fill_idle(
     ctx: &EvoContext<'_>,
     s: &mut Schedule,
@@ -141,7 +143,9 @@ pub fn fill_idle(
 /// Resume-only filling: places waiting jobs on idle GPUs (one each, SRUF
 /// order) without touching any running job's slots. Used by the scheduler
 /// to respond immediately to arrivals/completions while the §3.2.2 update
-/// rule blocks disruptive redeployments. Returns the jobs placed.
+/// rule blocks disruptive redeployments. Returns the jobs placed. Always
+/// draws one ρ per schedulable job from `rng`, so a stream shared across
+/// calls advances the same way whatever each call found.
 pub fn admit_waiting(ctx: &EvoContext<'_>, s: &mut Schedule, rng: &mut DetRng) -> DirtySet {
     fill(ctx, s, rng, false, &mut FillStats::default())
 }
@@ -190,8 +194,23 @@ fn fill(
     allow_scale_up: bool,
     stats: &mut FillStats,
 ) -> DirtySet {
-    // Always draw ρ, even with nothing idle: callers such as the
-    // scheduler's admission pass share one stream across calls.
+    // The ρ-draw contract. Resume-only fills always draw ρ, even with
+    // nothing idle: the scheduler's admission pass shares one stream
+    // across calls. A scale-up fill with no action available returns
+    // before drawing: which action wins depends on ρ, whether one exists
+    // does not. Its callers (legalise, mutate, refresh) fork a stream per
+    // call and drop it after the fill, so skipping the draw changes no
+    // result. The skipped call still counts the round that would have
+    // found nothing.
+    if allow_scale_up {
+        if s.idle_count() == 0 {
+            return DirtySet::new();
+        }
+        if !any_fill_action(ctx, s) {
+            stats.rounds += 1;
+            return DirtySet::new();
+        }
+    }
     let rhos = scoring::sample_rhos(ctx, rng);
     let mut dirty = DirtySet::new();
     let idle = s.idle_gpus();
@@ -360,6 +379,26 @@ fn fill(
         }
     }
     dirty
+}
+
+/// Whether a scale-up fill of a schedule with idle GPUs can act: some
+/// schedulable job either holds no GPU (resume) or holds `c` GPUs at a
+/// global batch `B < R_j` with `⌊R_j·c/B⌋ − c ≥ 1` (scale-up). One slot
+/// walk and one pass over the jobs; no ρ, no probe.
+fn any_fill_action(ctx: &EvoContext<'_>, s: &Schedule) -> bool {
+    let totals = s.job_totals();
+    ctx.view
+        .jobs
+        .values()
+        .filter(|j| !j.is_completed())
+        .any(|j| match totals.binary_search_by_key(&j.id(), |t| t.0) {
+            Err(_) => true,
+            Ok(k) => {
+                let (batch, gpus) = totals[k].1;
+                let limit = ctx.limit(j.id());
+                batch < limit && limit * gpus / batch > gpus
+            }
+        })
 }
 
 /// Remaining utilisation `T_j · c_j` of one job holding `gpus` GPUs under

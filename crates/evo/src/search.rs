@@ -27,9 +27,15 @@
 //! Children are indexed in a fixed documented order: the two crossover
 //! children of pair *p* are `2p` and `2p+1`, mutant *m* is
 //! `2·crossover_pairs + m`. Because no stream is shared, the result does
-//! not depend on how the work is spread across threads — two same-seed
-//! searches agree on every schedule and counter
-//! (`deterministic_for_fixed_seed` below).
+//! not depend on how the work is spread across threads, nor on whether a
+//! phase forks at all — two same-seed searches agree on every schedule
+//! and counter (`deterministic_for_fixed_seed` below, at a population
+//! small enough to stay on one thread and one large enough to fork).
+//!
+//! A phase forks only when it has the work to repay a thread: each
+//! thread gets at least [`MIN_MEMBERS_PER_THREAD`] work units, so at 64
+//! GPUs (population 64) every phase runs on the calling thread, and from
+//! 128 GPUs up the phases split across the host's cores.
 
 use crate::cache::ThroughputCache;
 use crate::context::EvoContext;
@@ -42,6 +48,13 @@ use ones_sync::Arc;
 use ones_workload::JobId;
 use rayon::prelude::*;
 use std::time::Instant;
+
+/// The fewest work units (members, crossover pairs or mutants) one
+/// thread of a derive phase is given; a phase with fewer than twice this
+/// many runs on the calling thread. On a 2-vCPU host, full `ones-sim`
+/// runs forked at 64 GPUs were 25–35% slower than one thread, and faster
+/// from 128 GPUs up.
+pub const MIN_MEMBERS_PER_THREAD: usize = 64;
 
 /// Evolutionary search tunables.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,6 +255,7 @@ impl EvolutionarySearch {
         let pending = std::mem::take(&mut self.pending_invalidations);
         let refreshed: Vec<(Schedule, ScoreCard)> = member_idx
             .par_iter()
+            .with_min_len(MIN_MEMBERS_PER_THREAD)
             .map(|&i| {
                 let (s, mut dirty) = ops::refresh(
                     &gctx,
@@ -298,6 +312,7 @@ impl EvolutionarySearch {
         let pair_idx: Vec<usize> = (0..pairs.len()).collect();
         let crossed: Vec<([(Schedule, ScoreCard); 2], FillStats)> = pair_idx
             .par_iter()
+            .with_min_len(MIN_MEMBERS_PER_THREAD)
             .map(|&p| {
                 let (ai, bi) = pairs[p];
                 let mut fill = FillStats::default();
@@ -329,6 +344,7 @@ impl EvolutionarySearch {
         let mutant_idx: Vec<usize> = (0..parents.len()).collect();
         let mutants: Vec<((Schedule, ScoreCard), FillStats)> = mutant_idx
             .par_iter()
+            .with_min_len(MIN_MEMBERS_PER_THREAD)
             .map(|&m| {
                 let mut fill = FillStats::default();
                 let (child, mdirty) = ops::mutate(
@@ -544,29 +560,40 @@ mod tests {
         }
         let view = fx.view();
         let c = ctx(&fx, &view);
-        let mut s1 = search(8);
-        let mut s2 = search(8);
-        for g in 0..4 {
+        // The paper's 8-GPU configuration keeps every phase on the
+        // calling thread; a population of twice the per-thread minimum
+        // forks each phase on a multi-core host.
+        let forking = EvoConfig {
+            population: 2 * MIN_MEMBERS_PER_THREAD,
+            crossover_pairs: 2 * MIN_MEMBERS_PER_THREAD,
+            ..EvoConfig::for_cluster(8)
+        };
+        for config in [EvoConfig::for_cluster(8), forking] {
+            let mut s1 = EvolutionarySearch::new(config, DetRng::seed(17));
+            let mut s2 = EvolutionarySearch::new(config, DetRng::seed(17));
+            for g in 0..4 {
+                assert_eq!(
+                    s1.generation(&c),
+                    s2.generation(&c),
+                    "S_* diverged at generation {g} (population {})",
+                    config.population
+                );
+                assert_eq!(s1.population(), s2.population());
+            }
+            // Fill work is counted per derive task and summed after the
+            // map, and a lost cache-insert race still counts one lookup
+            // as a hit, so none of these totals depends on how the tasks
+            // were spread across threads.
+            let (a, b) = (s1.perf_counters(), s2.perf_counters());
+            assert_eq!(a.generations, 4);
+            assert!(a.candidates_scored > 0);
+            assert!(a.fill_rounds > 0 && a.fill_probes > 0, "derive ran no fill");
+            assert!(a.cache_hits > 0, "cache never hit");
             assert_eq!(
-                s1.generation(&c),
-                s2.generation(&c),
-                "S_* diverged at generation {g}"
+                (a.fill_rounds, a.fill_probes, a.cache_hits, a.cache_misses),
+                (b.fill_rounds, b.fill_probes, b.cache_hits, b.cache_misses)
             );
-            assert_eq!(s1.population(), s2.population());
         }
-        // Fill work is counted per derive task and summed after the map,
-        // and a lost cache-insert race still counts one lookup as a hit,
-        // so none of these totals depends on how the tasks were spread
-        // across threads.
-        let (a, b) = (s1.perf_counters(), s2.perf_counters());
-        assert_eq!(a.generations, 4);
-        assert!(a.candidates_scored > 0);
-        assert!(a.fill_rounds > 0 && a.fill_probes > 0, "derive ran no fill");
-        assert!(a.cache_hits > 0, "cache never hit");
-        assert_eq!(
-            (a.fill_rounds, a.fill_probes, a.cache_hits, a.cache_misses),
-            (b.fill_rounds, b.fill_probes, b.cache_hits, b.cache_misses)
-        );
     }
 
     #[test]

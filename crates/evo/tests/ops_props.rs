@@ -115,7 +115,9 @@ fn assert_legal(fx: &Fixture, s: &Schedule) -> Result<(), TestCaseError> {
 /// the production fill must match: every round rebuilds the idle list and
 /// the running-job table from the slots, and recomputes every running
 /// job's utilisation. Probes materialise the trial schedule they describe,
-/// the definition `EvoContext::probe_throughput` is pinned to.
+/// the definition `EvoContext::probe_throughput` is pinned to. The ρ-draw
+/// contract: a scale-up fill that takes no action leaves `rng` where it
+/// found it; a resume-only fill always draws.
 fn fill_by_rescan(
     ctx: &EvoContext<'_>,
     s: &mut Schedule,
@@ -139,12 +141,13 @@ fn fill_by_rescan(
         }
         rem * f64::from(s.gpu_count(job)) / x
     };
+    let undrawn = rng.clone();
     let rhos = scoring::sample_rhos(ctx, rng);
     let mut dirty = DirtySet::new();
     loop {
         let idle = s.idle_gpus();
         if idle.is_empty() {
-            return dirty;
+            break;
         }
         let running = s.running_jobs();
         let mut best: Option<(f64, FillAction)> = None;
@@ -169,7 +172,7 @@ fn fill_by_rescan(
             continue;
         }
         if !allow_scale_up {
-            return dirty;
+            break;
         }
         for (&job, &(batch, gpus)) in &running {
             let limit = ctx.limit(job);
@@ -216,9 +219,13 @@ fn fill_by_rescan(
                 ctx.assign_evenly(s, job, &all);
                 dirty.insert(job);
             }
-            None => return dirty,
+            None => break,
         }
     }
+    if allow_scale_up && dirty.is_empty() {
+        *rng = undrawn;
+    }
+    dirty
 }
 
 /// Runs the production fill and the oracle on the same genome and seed,
@@ -255,6 +262,66 @@ fn assert_fill_matches_oracle(
         stats = call;
     }
     Ok(stats)
+}
+
+/// With every schedulable job at its limit `R_j` and GPUs idle, no fill
+/// action exists: a scale-up fill returns at once without drawing ρ, while
+/// the resume-only fill draws ρ all the same.
+#[test]
+fn fill_without_action_draws_rho_only_when_resume_only() {
+    let fx = fixture(4, 0b1111, &[3]);
+    let view = ClusterView {
+        now: SimTime::from_secs(500.0),
+        spec: &fx.spec,
+        perf: &fx.perf,
+        jobs: &fx.jobs,
+        deployed: &fx.deployed,
+    };
+    let ctx = EvoContext::new(&view, &fx.limits, &fx.betas);
+    // Jobs 0–3 at their limits (256, 512, 1024, 2048), job 3 over two
+    // GPUs to fit one GPU's memory; GPUs 5–7 idle.
+    let at_limit = genome(&[
+        Some((0, 256)),
+        Some((1, 512)),
+        Some((2, 1024)),
+        Some((3, 1024)),
+        Some((3, 1024)),
+        None,
+        None,
+        None,
+    ]);
+    assert_legal(&fx, &at_limit).expect("the genome must be legal");
+    let mut s = at_limit.clone();
+    let mut rng = DetRng::seed(5);
+    let mut stats = FillStats::default();
+    let dirty = ops::fill_idle(&ctx, &mut s, &mut rng, &mut stats);
+    assert!(
+        dirty.is_empty(),
+        "a job at its limit was scaled up: {dirty:?}"
+    );
+    assert_eq!(s, at_limit);
+    assert_eq!(
+        rng.uniform().to_bits(),
+        DetRng::seed(5).uniform().to_bits(),
+        "a fill with no action drew ρ"
+    );
+    assert_eq!(
+        stats,
+        FillStats {
+            rounds: 1,
+            probes: 0
+        }
+    );
+
+    let mut rng = DetRng::seed(5);
+    let dirty = ops::admit_waiting(&ctx, &mut s, &mut rng);
+    assert!(dirty.is_empty(), "no job was waiting: {dirty:?}");
+    assert_eq!(s, at_limit);
+    assert_ne!(
+        rng.uniform().to_bits(),
+        DetRng::seed(5).uniform().to_bits(),
+        "the admission pass must draw ρ on every call"
+    );
 }
 
 proptest! {
@@ -385,6 +452,7 @@ proptest! {
         if let Some(st) = fx.jobs.get_mut(&JobId(completed)) {
             st.phase = JobPhase::Completed;
         }
+        let tight = fx.limits.clone();
         // Limits above one GPU's memory let a job scale up round after
         // round instead of reaching its limit in one step.
         for (job, limit) in &mut fx.limits {
@@ -414,5 +482,18 @@ proptest! {
         let busy = genome(&vec![Some((7, 8)); 16]);
         let stats = assert_fill_matches_oracle(&ctx, &busy, seed, true)?;
         prop_assert_eq!(stats, FillStats::default(), "a full schedule needs no round");
+        // Every schedulable job at its (unraised) limit with GPUs to
+        // spare: no action exists, so neither side may draw ρ.
+        let tight_ctx = EvoContext::new(&view, &tight, &fx.betas);
+        let mut at_limit = Schedule::empty(16);
+        let mut free = (0..16).map(GpuId);
+        for job in tight_ctx.schedulable() {
+            let workers = tight_ctx.limit(job.id()).div_ceil(job.spec.profile().max_local_batch);
+            let gpus: Vec<GpuId> = free.by_ref().take(workers as usize).collect();
+            tight_ctx.assign_evenly(&mut at_limit, job.id(), &gpus);
+        }
+        prop_assert!(at_limit.idle_count() > 0);
+        let stats = assert_fill_matches_oracle(&tight_ctx, &at_limit, seed, true)?;
+        prop_assert_eq!(stats, FillStats { rounds: 1, probes: 0 }, "no action exists");
     }
 }

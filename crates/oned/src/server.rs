@@ -1,7 +1,8 @@
 //! The HTTP front end: accept loop, routing, graceful shutdown.
 //!
-//! Thread-per-connection with keep-alive; the accept loop polls a
-//! non-blocking listener so a shutdown flag can stop it promptly.
+//! Thread-per-connection with keep-alive; the accept loop blocks in
+//! `accept`, and shutdown sets a flag and wakes it with one loopback
+//! connection, so no connection waits on a poll interval to be accepted.
 //! Graceful shutdown stops accepting, waits for in-flight *requests*
 //! (idle keep-alive connections are abandoned — their handler threads
 //! exit on peer close), then stops the scheduler core with one final
@@ -81,6 +82,9 @@ impl ServerHandle {
     /// Asks the accept loop to stop without waiting.
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Wake the loop's blocking `accept` so it sees the flag. Refused
+        // once the loop has exited and closed the listener.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
     /// Graceful shutdown: stop accepting, let in-flight requests finish
@@ -123,7 +127,6 @@ pub fn serve(
     opts: ServeOptions,
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", opts.port))?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let state = shared(backend.scheduler_name(), backend.occupancy(), opts.paused);
@@ -176,8 +179,12 @@ fn accept_loop(
     shutdown: &Arc<AtomicBool>,
     in_flight: &Arc<AtomicUsize>,
 ) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let state = Arc::clone(state);
                 let core_tx = core_tx.clone();
@@ -191,9 +198,8 @@ fn accept_loop(
                         handle_connection(stream, &state, &core_tx, &shutdown, &in_flight);
                     });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Transient failures (descriptor exhaustion, an aborted
+            // handshake): back off briefly.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -206,9 +212,6 @@ fn handle_connection(
     shutdown: &Arc<AtomicBool>,
     in_flight: &Arc<AtomicUsize>,
 ) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
     // Small JSON exchanges: never trade latency for coalescing.
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {

@@ -101,6 +101,47 @@ struct SimJob {
     segment: Option<Segment>,
 }
 
+/// Arrived jobs per live phase, kept at every phase write so the queue
+/// gauges and the idle check read them without scanning the store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct PhaseCounts {
+    running: u32,
+    waiting: u32,
+}
+
+impl PhaseCounts {
+    /// The counts of a scan over `statuses`.
+    #[cfg(test)]
+    fn of<'a>(statuses: impl IntoIterator<Item = &'a JobStatus>) -> Self {
+        let mut counts = PhaseCounts::default();
+        for status in statuses {
+            counts.add(status.phase, 1);
+        }
+        counts
+    }
+
+    fn add(&mut self, phase: JobPhase, n: i32) {
+        let count = match phase {
+            JobPhase::Running => &mut self.running,
+            JobPhase::Waiting => &mut self.waiting,
+            JobPhase::Completed => return,
+        };
+        *count = count.checked_add_signed(n).expect("phase count underflow");
+    }
+
+    /// Moves `status` to `phase`, keeping the counts in step.
+    fn set(&mut self, status: &mut JobStatus, phase: JobPhase) {
+        self.add(status.phase, -1);
+        self.add(phase, 1);
+        status.phase = phase;
+    }
+
+    /// Arrived jobs not yet completed.
+    fn incomplete(self) -> u32 {
+        self.running + self.waiting
+    }
+}
+
 /// What one call to [`Simulation::step`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -209,6 +250,8 @@ pub struct Simulation {
     /// written in place at each transition and borrowed as
     /// [`ClusterView::jobs`].
     statuses: BTreeMap<JobId, JobStatus>,
+    /// Running and waiting jobs in `statuses`.
+    phases: PhaseCounts,
     /// Desired-vs-actual reconciliation state; its actual schedule is the
     /// single source of truth for what is deployed.
     recon: Reconciler,
@@ -243,6 +286,7 @@ impl Simulation {
             pending,
             jobs: BTreeMap::new(),
             statuses: BTreeMap::new(),
+            phases: PhaseCounts::default(),
             config,
             perf,
             cost: ScalingCostModel::default(),
@@ -378,15 +422,7 @@ impl Simulation {
     /// Arrived jobs currently `(running, waiting)`.
     #[must_use]
     pub(crate) fn running_and_waiting(&self) -> (u32, u32) {
-        let (mut running, mut waiting) = (0, 0);
-        for status in self.statuses.values() {
-            match status.phase {
-                JobPhase::Running => running += 1,
-                JobPhase::Waiting => waiting += 1,
-                JobPhase::Completed => {}
-            }
-        }
-        (running, waiting)
+        (self.phases.running, self.phases.waiting)
     }
 
     /// Number of submitted jobs whose arrival is still in the future.
@@ -437,8 +473,7 @@ impl Simulation {
             .values()
             .filter(|s| s.is_completed() && !s.killed)
             .count();
-        let incomplete_jobs =
-            self.pending.len() + self.statuses.values().filter(|s| !s.is_completed()).count();
+        let incomplete_jobs = self.pending.len() + self.phases.incomplete() as usize;
         let result = SimResult {
             total_gpus: self.perf.spec().total_gpus(),
             jobs: self.statuses,
@@ -460,7 +495,7 @@ impl Simulation {
     }
 
     fn all_completed(&self) -> bool {
-        self.pending.is_empty() && self.statuses.values().all(JobStatus::is_completed)
+        self.pending.is_empty() && self.phases.incomplete() == 0
     }
 
     fn dispatch(&mut self, now: SimTime, event: Event) {
@@ -494,7 +529,9 @@ impl Simulation {
                         segment: None,
                     },
                 );
-                self.statuses.insert(id, JobStatus::submitted(spec, now));
+                let status = JobStatus::submitted(spec, now);
+                self.phases.add(status.phase, 1);
+                self.statuses.insert(id, status);
                 self.outbox
                     .emit(now, id, BackendEventKind::Arrived, Track::Plain);
                 Some(SchedEvent::JobArrived(id))
@@ -563,7 +600,7 @@ impl Simulation {
             }
         }
         job.epoch_seq += 1;
-        status.phase = JobPhase::Completed;
+        self.phases.set(status, JobPhase::Completed);
         status.killed = true;
         status.completion = Some(now);
         status.current_batch = 0;
@@ -613,7 +650,7 @@ impl Simulation {
         );
 
         if job.conv.converged() {
-            status.phase = JobPhase::Completed;
+            self.phases.set(status, JobPhase::Completed);
             status.completion = Some(now);
             status.current_batch = 0;
             status.current_gpus = 0;
@@ -714,7 +751,7 @@ impl Simulation {
         if matches!(op.kind, OpKind::Preempt) {
             // Releasing GPUs is free: every phase is zero-duration.
             while op.advance(&PhasePlan::ZERO).is_some() {}
-            status.phase = JobPhase::Waiting;
+            self.phases.set(status, JobPhase::Waiting);
             status.current_batch = 0;
             status.current_gpus = 0;
             if was_running {
@@ -792,7 +829,7 @@ impl Simulation {
             epoch_started,
             last_accrual: now,
         });
-        status.phase = JobPhase::Running;
+        self.phases.set(status, JobPhase::Running);
         status.first_start.get_or_insert(now);
         status.current_batch = global_batch;
         status.current_gpus = placement.len() as u32;
@@ -848,10 +885,23 @@ mod tests {
             SimConfig::default(),
         );
         let mut events = Vec::new();
-        while sim.step() == StepOutcome::Progressed {
+        while step_checked(&mut sim) == StepOutcome::Progressed {
             events.extend_from_slice(sim.step_events());
         }
         (sim.into_result().0, events)
+    }
+
+    /// Steps once, then checks the kept phase counts (and the idle check
+    /// read from them) against a rescan of the status store.
+    fn step_checked(sim: &mut Simulation) -> StepOutcome {
+        let outcome = sim.step();
+        let rescan = PhaseCounts::of(sim.statuses.values());
+        assert_eq!(sim.phases, rescan, "phase counts drifted from the store");
+        assert_eq!(
+            sim.all_completed(),
+            sim.pending.is_empty() && sim.statuses.values().all(JobStatus::is_completed)
+        );
+        outcome
     }
 
     /// Delegates to a real scheduler and checks, on every event, that the
@@ -912,13 +962,14 @@ mod tests {
             let spy = ViewSpy {
                 inner: kind.build(&spec, &trace, &DetRng::seed(11)),
             };
-            let sim = Simulation::new(
+            let mut sim = Simulation::new(
                 PerfModel::new(spec),
                 &trace,
                 Box::new(spy),
                 SimConfig::default(),
             );
-            let r = sim.run();
+            while step_checked(&mut sim) == StepOutcome::Progressed {}
+            let r = sim.into_result().0;
             assert!(r.deployments > 0, "{kind:?}: nothing was deployed");
             assert!(r.killed_jobs > 0, "{kind:?}: the trace must exercise kills");
             assert_eq!(r.incomplete_jobs, 0, "{kind:?}");
